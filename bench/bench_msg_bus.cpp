@@ -81,44 +81,6 @@ void BM_HwmDropUnderStall(benchmark::State& state) {
 }
 BENCHMARK(BM_HwmDropUnderStall);
 
-// Ablation (DESIGN.md §5): HWM drop vs block with a slow consumer. The
-// drop policy keeps the publisher at full speed and sheds load; the
-// block policy throttles the publisher to the consumer's pace — which
-// on the capture path would mean dropping packets at the NIC instead.
-void BM_HwmPolicyWithSlowConsumer(benchmark::State& state) {
-  const bool block = state.range(0) == 1;
-  PubSocket pub;
-  auto sub = pub.subscribe("", 256, block ? HwmPolicy::kBlock : HwmPolicy::kDrop);
-  std::atomic<bool> done{false};
-  std::thread consumer([&] {
-    while (!done.load(std::memory_order_acquire)) {
-      if (sub->try_recv()) {
-        // ~2 us of "work" per message: slower than the publisher.
-        const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(2);
-        while (std::chrono::steady_clock::now() < until) {
-        }
-      }
-    }
-  });
-
-  const Message msg = make_message(68);
-  for (auto _ : state) {
-    pub.publish(msg);
-  }
-  done.store(true);
-  pub.close_all();  // release a possibly blocked final publish
-  consumer.join();
-
-  state.SetItemsProcessed(state.iterations());
-  state.counters["delivered"] = static_cast<double>(sub->delivered());
-  state.counters["dropped"] = static_cast<double>(sub->dropped());
-}
-BENCHMARK(BM_HwmPolicyWithSlowConsumer)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgName("policy(0=drop,1=block)")
-    ->UseRealTime();
-
 // The batched latency feed vs the seed per-sample path, measured in
 // samples/sec end to end (encode → publish → recv → decode). batch=1
 // reproduces the original one-message-per-sample behaviour; larger

@@ -25,8 +25,8 @@
 #include <thread>
 #include <vector>
 
+#include "oracle/legacy_tsdb.hpp"
 #include "tsdb/query.hpp"
-#include "tsdb/tsdb.hpp"
 #include "util/random.hpp"
 
 namespace {

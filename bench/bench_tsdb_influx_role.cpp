@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "tsdb/tsdb.hpp"
+#include "tsdb/query.hpp"
 #include "tsdb/wal.hpp"
 #include "util/random.hpp"
 
@@ -33,7 +33,7 @@ TagSet make_tags(Pcg32& rng) {
 
 void BM_TsdbIngest(benchmark::State& state) {
   Pcg32 rng(0xDB);
-  TimeSeriesDb db;
+  TsdbEngine db;
   std::int64_t t = 0;
   for (auto _ : state) {
     db.write("total_ms", make_tags(rng), Timestamp::from_us(t += 100), rng.uniform(80.0, 300.0));
@@ -53,7 +53,7 @@ void BM_TsdbIngestWithWal(benchmark::State& state) {
     return;
   }
   Pcg32 rng(0xDB);
-  TimeSeriesDb db;
+  TsdbEngine db;
   db.attach_wal(&wal.value());
   std::int64_t t = 0;
   for (auto _ : state) {
@@ -67,7 +67,7 @@ BENCHMARK(BM_TsdbIngestWithWal);
 
 class LoadedDb {
  public:
-  static const TimeSeriesDb& instance() {
+  static const TsdbEngine& instance() {
     static const LoadedDb db;
     return db.db_;
   }
@@ -80,7 +80,7 @@ class LoadedDb {
                 rng.uniform(80.0, 300.0));
     }
   }
-  TimeSeriesDb db_;
+  TsdbEngine db_;
 };
 
 // The Grafana panel query: stats over a time interval.
@@ -132,7 +132,7 @@ void BM_TsdbRetention(benchmark::State& state) {
   Pcg32 rng(9);
   for (auto _ : state) {
     state.PauseTiming();
-    TimeSeriesDb db;
+    TsdbEngine db;
     for (int i = 0; i < 100'000; ++i) {
       db.write("m", make_tags(rng), Timestamp::from_ms(i), 1.0);
     }

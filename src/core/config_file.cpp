@@ -1,6 +1,7 @@
 #include "core/config_file.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 namespace ruru {
@@ -14,14 +15,22 @@ std::string trim(std::string s) {
   return s.substr(first, last - first + 1);
 }
 
-Result<std::uint64_t> parse_u64(const std::string& key, const std::string& value) {
+/// Unsigned decimal in [0, max] (max >= 9); refuses anything larger
+/// instead of wrapping or narrowing.
+Result<std::uint64_t> parse_u64(const std::string& key, const std::string& value,
+                                std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   if (value.empty()) return make_error("config: empty value for '" + key + "'");
   std::uint64_t out = 0;
   for (const char c : value) {
     if (c < '0' || c > '9') {
       return make_error("config: '" + key + "' expects an unsigned integer, got '" + value + "'");
     }
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (out > (max - digit) / 10) {
+      return make_error("config: '" + key + "' must be <= " + std::to_string(max) + ", got '" +
+                        value + "'");
+    }
+    out = out * 10 + digit;
   }
   return out;
 }
@@ -125,9 +134,10 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
   PipelineConfig cfg = defaults;
   for (const auto& [key, value] : parsed.value()) {
     auto set_u64 = [&](auto& field) -> Status {
-      auto v = parse_u64(key, value);
+      using Field = std::remove_reference_t<decltype(field)>;
+      auto v = parse_u64(key, value, std::numeric_limits<Field>::max());
       if (!v) return make_error(v.error());
-      field = static_cast<std::remove_reference_t<decltype(field)>>(v.value());
+      field = static_cast<Field>(v.value());
       return {};
     };
     auto set_bool = [&](bool& field) -> Status {
@@ -156,8 +166,6 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
       bool symmetric = true;
       status = set_bool(symmetric);
       if (status.ok()) cfg.rss_key = symmetric ? symmetric_rss_key() : default_rss_key();
-    } else if (key == "capture.inject_burst") {
-      status = set_u64(cfg.inject_burst_size);
     } else if (key == "flow.fast_path") {
       status = set_bool(cfg.worker_fast_path);
     } else if (key == "flow.table_capacity") {
@@ -186,12 +194,6 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
       status = set_u64(cfg.enrichment_threads);
     } else if (key == "analytics.shard_inbox") {
       status = set_bool(cfg.enrich_shard_inbox);
-    } else if (key == "topology.workers") {
-      // Worker lcores and RX queues are 1:1 (one table per queue), so
-      // the topology's worker count IS the queue count.
-      status = set_u64(cfg.num_queues);
-    } else if (key == "topology.enrichers") {
-      status = set_u64(cfg.enrichment_threads);
     } else if (key == "topology.pin_cpus") {
       auto v = parse_cpu_list(key, value);
       if (!v) {
@@ -311,7 +313,6 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
     return make_error("config: flow.prefetch_depth must be in [0, 4], got " +
                       std::to_string(cfg.worker_prefetch_depth));
   }
-  if (cfg.inject_burst_size == 0) return make_error("config: capture.inject_burst must be >= 1");
   if (cfg.enrichment_threads == 0) return make_error("config: analytics.threads must be >= 1");
   if (!cfg.pin_cpus.empty() && cfg.pin_cpus.size() != cfg.num_queues &&
       cfg.pin_cpus.size() != cfg.num_queues + cfg.enrichment_threads) {

@@ -1,6 +1,7 @@
 #include "core/pipeline.hpp"
 
 #include <array>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -414,16 +415,19 @@ void RuruPipeline::register_metrics() {
 }
 
 void RuruPipeline::wire_sinks() {
-  // Route-keyed series cache: the sink's four tags are a pure function
-  // of (client city, server city, client AS, server AS), so each
-  // distinct route builds its TagSet and resolves its three series once.
-  // The steady-state TSDB path is three SeriesId appends — no strings,
-  // no TagSet, no canonicalization.  Keyed exactly (no lossy hashing):
-  // interned city ids + ASNs, with unlocated endpoints collapsed to the
-  // same sentinel the "?" tag value collapses them to.
+  // Route-keyed series cache: a sample's tags are a pure function of
+  // (client city, server city, client AS, server AS), plus the measured
+  // half for in-flow and one-sided samples.  Each route resolves each of
+  // its series classes once — the handshake triple, or one of the four
+  // in-flow classes (kInflow|kOneSided) x (toward_client) — so the
+  // steady-state TSDB path is SeriesId appends: no strings, no TagSet,
+  // no canonicalization.  Keyed exactly (no lossy hashing): interned
+  // city ids + ASNs, with unlocated endpoints collapsed to the same
+  // sentinel the "?" tag value collapses them to.
+  using RouteKey = std::pair<std::uint64_t, std::uint64_t>;
   struct RouteCache {
     struct Hash {
-      std::size_t operator()(const std::pair<std::uint64_t, std::uint64_t>& k) const {
+      std::size_t operator()(const RouteKey& k) const {
         std::uint64_t x = k.first ^ (k.second * 0x9E3779B97F4A7C15ull);
         x ^= x >> 33;
         x *= 0xFF51AFD7ED558CCDull;
@@ -431,59 +435,58 @@ void RuruPipeline::wire_sinks() {
         return static_cast<std::size_t>(x);
       }
     };
+    /// Per route: class 0 holds the handshake triple, classes 1..4 one
+    /// in-flow series each (element 0); empty until first resolved.
+    using Series = std::array<std::optional<std::array<SeriesId, 3>>, 5>;
     std::mutex mu;
-    std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, std::array<SeriesId, 3>, Hash>
-        map;
-    /// In-flow series per route: 4 classes — (kInflow|kOneSided) x
-    /// (toward_client) — resolved lazily like the handshake triple.
-    struct InflowSeries {
-      std::array<SeriesId, 4> sid{};
-      std::array<bool, 4> have{};
-    };
-    std::unordered_map<std::pair<std::uint64_t, std::uint64_t>, InflowSeries, Hash> inflow;
+    std::unordered_map<RouteKey, Series, Hash> map;
   };
-  auto routes = std::make_shared<RouteCache>();
-  enrichment_->add_sink([this, routes](const EnrichedSample& s) {
+  // Series ids for `s`'s route and class; a cache hit does no string or
+  // TagSet work.
+  auto route_series = [this, routes = std::make_shared<RouteCache>()](const EnrichedSample& s) {
+    constexpr std::uint64_t kUnlocated = 0xFFFF'FFFFull;
+    const RouteKey key{
+        ((s.client.located ? std::uint64_t{s.client.city_id} : kUnlocated) << 32) |
+            (s.server.located ? std::uint64_t{s.server.city_id} : kUnlocated),
+        (std::uint64_t{s.client.asn} << 32) | std::uint64_t{s.server.asn}};
+    const std::size_t cls = s.kind == SampleKind::kHandshake
+                                ? 0
+                                : 1 + (s.kind == SampleKind::kInflow ? 0 : 2) +
+                                      (s.toward_client ? 1 : 0);
+    {
+      std::lock_guard lock(routes->mu);
+      if (const auto it = routes->map.find(key); it != routes->map.end() && it->second[cls]) {
+        return *it->second[cls];
+      }
+    }
+    // First sample of this route and class: build the tags, resolve once.
+    TagSet tags;
+    tags.add("src_city", std::string(s.client.located ? s.client.city() : "?"))
+        .add("dst_city", std::string(s.server.located ? s.server.city() : "?"))
+        .add("src_as", std::to_string(s.client.asn))
+        .add("dst_as", std::to_string(s.server.asn));
+    std::array<SeriesId, 3> sids{};
+    if (cls == 0) {
+      sids = {tsdb_.series("total_ms", tags), tsdb_.series("internal_ms", tags),
+              tsdb_.series("external_ms", tags)};
+    } else {
+      tags.add("half", s.toward_client ? "internal" : "external");
+      sids[0] = tsdb_.series(s.kind == SampleKind::kInflow ? "inflow_ms" : "onesided_ms", tags);
+    }
+    std::lock_guard lock(routes->mu);
+    routes->map[key][cls] = sids;
+    return sids;
+  };
+  enrichment_->add_sink([this, route_series](const EnrichedSample& s) {
     if (s.kind != SampleKind::kHandshake) {
       // In-flow and one-sided samples carry one measured half, not a
       // three-way handshake: they go to their own TSDB measurements
       // ("inflow_ms" / "onesided_ms", tagged with which half) and stay
       // out of the aggregators and anomaly detectors, whose models
       // (pair RTT means, completion counts) assume handshake triples.
-      if (!config_.tsdb_store_samples) return;
-      constexpr std::uint64_t kUnlocated = 0xFFFF'FFFFull;
-      const std::uint64_t cities =
-          ((s.client.located ? std::uint64_t{s.client.city_id} : kUnlocated) << 32) |
-          (s.server.located ? std::uint64_t{s.server.city_id} : kUnlocated);
-      const std::uint64_t asns =
-          (std::uint64_t{s.client.asn} << 32) | std::uint64_t{s.server.asn};
-      const std::pair<std::uint64_t, std::uint64_t> key{cities, asns};
-      const std::size_t cls =
-          (s.kind == SampleKind::kInflow ? 0 : 2) + (s.toward_client ? 1 : 0);
-      SeriesId sid{};
-      bool cached = false;
-      {
-        std::lock_guard lock(routes->mu);
-        const auto it = routes->inflow.find(key);
-        if (it != routes->inflow.end() && it->second.have[cls]) {
-          sid = it->second.sid[cls];
-          cached = true;
-        }
+      if (config_.tsdb_store_samples) {
+        tsdb_.append(route_series(s)[0], s.completed_at, s.total.to_ms());
       }
-      if (!cached) {
-        TagSet tags;
-        tags.add("src_city", std::string(s.client.located ? s.client.city() : "?"))
-            .add("dst_city", std::string(s.server.located ? s.server.city() : "?"))
-            .add("src_as", std::to_string(s.client.asn))
-            .add("dst_as", std::to_string(s.server.asn))
-            .add("half", s.toward_client ? "internal" : "external");
-        sid = tsdb_.series(s.kind == SampleKind::kInflow ? "inflow_ms" : "onesided_ms", tags);
-        std::lock_guard lock(routes->mu);
-        auto& e = routes->inflow[key];
-        e.sid[cls] = sid;
-        e.have[cls] = true;
-      }
-      tsdb_.append(sid, s.completed_at, s.total.to_ms());
       return;
     }
     city_pairs_.add(s);
@@ -491,34 +494,7 @@ void RuruPipeline::wire_sinks() {
     arcs_.add(s);
 
     if (config_.tsdb_store_samples) {
-      constexpr std::uint64_t kUnlocated = 0xFFFF'FFFFull;
-      const std::uint64_t cities =
-          ((s.client.located ? std::uint64_t{s.client.city_id} : kUnlocated) << 32) |
-          (s.server.located ? std::uint64_t{s.server.city_id} : kUnlocated);
-      const std::uint64_t asns =
-          (std::uint64_t{s.client.asn} << 32) | std::uint64_t{s.server.asn};
-      const std::pair<std::uint64_t, std::uint64_t> key{cities, asns};
-      std::array<SeriesId, 3> sids;
-      bool cached = false;
-      {
-        std::lock_guard lock(routes->mu);
-        if (const auto it = routes->map.find(key); it != routes->map.end()) {
-          sids = it->second;
-          cached = true;
-        }
-      }
-      if (!cached) {
-        // First sample on this route: build the tags and resolve once.
-        TagSet tags;
-        tags.add("src_city", std::string(s.client.located ? s.client.city() : "?"))
-            .add("dst_city", std::string(s.server.located ? s.server.city() : "?"))
-            .add("src_as", std::to_string(s.client.asn))
-            .add("dst_as", std::to_string(s.server.asn));
-        sids = {tsdb_.series("total_ms", tags), tsdb_.series("internal_ms", tags),
-                tsdb_.series("external_ms", tags)};
-        std::lock_guard lock(routes->mu);
-        routes->map.emplace(key, sids);
-      }
+      const std::array<SeriesId, 3> sids = route_series(s);
       // TSC timebase for both the write histogram and the tsdb span —
       // the same clock every other stage stamps with.
       const bool timed = tsdb_write_hist_.attached();
@@ -665,18 +641,23 @@ void RuruPipeline::finish() {
 
   // 5. Apply the storage policy (continuous-query downsampling, then
   //    raw-sample retention anchored at the last capture timestamp).
+  //    Raw per-sample measurements: the handshake triple, then the
+  //    in-flow and one-sided halves the sink writes.
+  const std::vector<std::string> raw = {"total_ms", "internal_ms", "external_ms", "inflow_ms",
+                                        "onesided_ms"};
   if (config_.downsample_window.ns > 0) {
-    for (const char* m : {"total_ms", "internal_ms", "external_ms"}) {
-      tsdb_.downsample(m, std::string(m) + "_" + config_.downsample_stat,
-                       config_.downsample_window, config_.downsample_stat);
+    // Downsampling stays handshake-only (the first three); in-flow and
+    // one-sided points are not rolled up, only aged out below.
+    for (const std::string& m : std::span(raw).first(3)) {
+      tsdb_.downsample(m, m + "_" + config_.downsample_stat, config_.downsample_window,
+                       config_.downsample_stat);
     }
   }
   if (config_.retention_horizon.ns > 0 && !link_meter_.closed().empty()) {
     const Timestamp capture_end =
         link_meter_.closed().back().start + config_.link_meter_window;
     // Only raw per-sample series age out; downsampled and link series stay.
-    tsdb_.enforce_retention(capture_end, config_.retention_horizon,
-                            {"total_ms", "internal_ms", "external_ms"});
+    tsdb_.enforce_retention(capture_end, config_.retention_horizon, raw);
   }
 
   // 6. Export the flight record now that every stage has emitted its

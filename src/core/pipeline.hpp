@@ -50,10 +50,6 @@ struct PipelineConfig {
   std::size_t mempool_size = 1 << 16;
   std::size_t mbuf_size = 2048;
   RssKey rss_key = symmetric_rss_key();
-  /// Frames the replayer accumulates before one inject_burst() call
-  /// (one SpscRing release-store per queue per burst). 1 = per-frame
-  /// injection, the pre-burst behaviour.
-  std::size_t inject_burst_size = 32;
 
   // --- flow tracking ---
   std::size_t flow_table_capacity = 1 << 16;  ///< per queue
@@ -133,10 +129,11 @@ struct PipelineConfig {
   std::uint32_t tsdb_chunk_points = 512;
   /// Long-term storage policy, applied at finish() (the InfluxDB
   /// continuous-query + retention pattern): when `downsample_window` is
-  /// nonzero, every latency measurement is downsampled into
-  /// "<name>_<stat>" series at that granularity; when
-  /// `retention_horizon` is nonzero, raw points older than the horizon
-  /// (relative to the newest sample) are then dropped.
+  /// nonzero, each handshake measurement (total/internal/external) is
+  /// downsampled into "<name>_<stat>" series at that granularity; when
+  /// `retention_horizon` is nonzero, raw per-sample points (handshake,
+  /// in-flow and one-sided) older than the horizon (relative to the
+  /// newest sample) are then dropped.
   Duration downsample_window = Duration{0};
   std::string downsample_stat = "median";
   Duration retention_horizon = Duration{0};

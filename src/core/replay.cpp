@@ -1,8 +1,8 @@
 #include "core/replay.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
-#include <memory>
 #include <thread>
 
 namespace ruru {
@@ -28,34 +28,33 @@ bool retry_inject_shard(RuruPipeline& pipeline, std::uint16_t queue, const RxFra
   return false;
 }
 
-/// Accumulates frames and feeds the pipeline in inject_burst() calls —
-/// one SpscRing release-store per queue per burst instead of one per
-/// frame. Frames a burst could not queue are retried individually
+/// Frames per inject_burst() call: one worker rx burst, so each burst
+/// costs one SpscRing release-store per queue instead of one per frame.
+constexpr std::size_t kInjectBurst = QueueWorker::kBurst;
+
+/// Accumulates frames and feeds the pipeline in inject_burst() calls.
+/// Frames a burst could not queue are retried individually
 /// (retry_drops) or counted as drops.
 class BurstInjector {
  public:
   BurstInjector(RuruPipeline& pipeline, bool retry_drops, ReplayStats& stats)
-      : pipeline_(pipeline),
-        retry_drops_(retry_drops),
-        stats_(stats),
-        burst_(pipeline.config().inject_burst_size > 0 ? pipeline.config().inject_burst_size : 1),
-        queued_(new bool[burst_]) {
-    frames_.reserve(burst_);
-    refs_.reserve(burst_);
+      : pipeline_(pipeline), retry_drops_(retry_drops), stats_(stats) {
+    frames_.reserve(kInjectBurst);
+    refs_.reserve(kInjectBurst);
   }
 
   void add(TimedFrame frame) {
     ++stats_.frames;
     stats_.bytes += frame.frame.size();
     frames_.push_back(std::move(frame));
-    if (frames_.size() >= burst_) flush();
+    if (frames_.size() >= kInjectBurst) flush();
   }
 
   void flush() {
     if (frames_.empty()) return;
     refs_.clear();
     for (const TimedFrame& f : frames_) refs_.push_back({f.frame, f.timestamp});
-    pipeline_.inject_burst(refs_, queued_.get());
+    pipeline_.inject_burst(refs_, queued_.data());
     for (std::size_t i = 0; i < frames_.size(); ++i) {
       if (queued_[i]) continue;
       if (retry_drops_ && retry_inject(pipeline_, frames_[i].frame, frames_[i].timestamp)) {
@@ -70,10 +69,9 @@ class BurstInjector {
   RuruPipeline& pipeline_;
   bool retry_drops_;
   ReplayStats& stats_;
-  std::size_t burst_;
   std::vector<TimedFrame> frames_;  ///< owns the burst's bytes
   std::vector<RxFrame> refs_;
-  std::unique_ptr<bool[]> queued_;
+  std::array<bool, kInjectBurst> queued_{};
 };
 
 }  // namespace
@@ -115,20 +113,18 @@ ReplayStats replay_scenario_sharded(RuruPipeline& pipeline, TrafficModel& model,
   std::vector<std::vector<RxFrame>> shard(lanes);
   for (const RxFrame& f : refs) shard[pipeline.queue_for(f.data)].push_back(f);
 
-  const std::size_t burst =
-      pipeline.config().inject_burst_size > 0 ? pipeline.config().inject_burst_size : 1;
   std::vector<std::uint64_t> lane_drops(lanes, 0);
   std::vector<std::thread> producers;
   producers.reserve(lanes);
   const auto start = std::chrono::steady_clock::now();
   for (std::uint16_t q = 0; q < lanes; ++q) {
-    producers.emplace_back([&pipeline, &shard, &lane_drops, burst, retry_drops, q] {
+    producers.emplace_back([&pipeline, &shard, &lane_drops, retry_drops, q] {
       const std::vector<RxFrame>& frames = shard[q];
-      std::unique_ptr<bool[]> queued(new bool[burst]);
-      for (std::size_t off = 0; off < frames.size(); off += burst) {
-        const std::size_t n = std::min(burst, frames.size() - off);
+      std::array<bool, kInjectBurst> queued{};
+      for (std::size_t off = 0; off < frames.size(); off += kInjectBurst) {
+        const std::size_t n = std::min(kInjectBurst, frames.size() - off);
         const std::span<const RxFrame> chunk(frames.data() + off, n);
-        pipeline.inject_shard(q, chunk, queued.get());
+        pipeline.inject_shard(q, chunk, queued.data());
         for (std::size_t i = 0; i < n; ++i) {
           if (queued[i]) continue;
           if (retry_drops && retry_inject_shard(pipeline, q, chunk[i])) continue;

@@ -90,30 +90,8 @@ std::uint32_t SimNic::hash_frame(std::span<const std::uint8_t> frame) const {
 }
 
 bool SimNic::inject(std::span<const std::uint8_t> frame, Timestamp rx_time) {
-  MbufPtr mbuf = pool_.alloc();
-  if (!mbuf) {
-    ++stats_.dropped_no_mbuf;
-    RURU_LOG_EVERY_N(kWarn, "driver", 65536)
-        << "mempool exhausted, dropping frames (total " << stats_.dropped_no_mbuf << ")";
-    return false;
-  }
-  if (!mbuf->assign(frame)) {
-    ++stats_.dropped_oversize;
-    return false;
-  }
-  mbuf->timestamp = rx_time;
-  mbuf->rss_hash = hash_frame(frame);
-  mbuf->port_id = config_.port_id;
-  stamp_trace(*mbuf, mbuf->rss_hash, config_.trace_sample_n);
-  const std::uint16_t queue = static_cast<std::uint16_t>(mbuf->rss_hash % config_.num_queues);
-  mbuf->queue_id = queue;
-  if (!queues_[queue]->try_push(std::move(mbuf))) {
-    ++stats_.dropped_queue_full;
-    return false;
-  }
-  ++stats_.rx_packets;
-  stats_.rx_bytes += frame.size();
-  return true;
+  const RxFrame one{frame, rx_time};
+  return inject_burst({&one, 1}) == 1;
 }
 
 std::size_t SimNic::inject_burst(std::span<const RxFrame> frames, bool* queued) {

@@ -73,15 +73,15 @@ class SimNic {
   SimNic(const SimNic&) = delete;
   SimNic& operator=(const SimNic&) = delete;
 
-  /// RX path: copy `frame` into an mbuf, hash, timestamp, enqueue.
-  /// Single-producer: call from one thread only. Returns true when the
-  /// frame was queued (false -> counted in stats as a drop).
+  /// RX path for one frame: a one-frame inject_burst().  Single-
+  /// producer: call from one thread only. Returns true when the frame
+  /// was queued (false -> counted in stats as a drop).
   bool inject(std::span<const std::uint8_t> frame, Timestamp rx_time);
 
-  /// Batched RX path: stage every frame's mbuf per destination queue,
-  /// then publish each queue's run with ONE SpscRing::push_burst (one
-  /// release store per queue per burst instead of one per frame).
-  /// Same single-producer contract and drop accounting as inject().
+  /// Batched RX path: copy each frame into an mbuf, hash, timestamp,
+  /// and stage it per destination queue, then publish each queue's run
+  /// with ONE SpscRing::push_burst (one release store per queue per
+  /// burst instead of one per frame).  Single-producer, like inject().
   /// Returns the number of frames queued; when `queued` is non-null it
   /// must have `frames.size()` slots and receives a per-frame success
   /// flag (so a lossless replayer can retry exactly the failures).

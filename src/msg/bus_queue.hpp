@@ -1,12 +1,12 @@
 #pragma once
 // Lock-free subscription queue: MpmcRing + close semantics + HWM.
 //
-// The bus publish path must take zero locks under HwmPolicy::kDrop — a
-// publisher's offer is a CAS ticket claim on the ring plus two relaxed
-// counter bumps, never a mutex.  Blocking receive (and the kBlock
-// ablation policy's blocking send) are built from the non-blocking ring
-// ops with a spin -> yield -> sleep backoff instead of a condition
-// variable, so no mutex exists anywhere on the path.
+// The bus publish path must take zero locks — a publisher's offer is a
+// CAS ticket claim on the ring plus two relaxed counter bumps, never a
+// mutex, and a full queue drops instead of blocking.  Blocking receive
+// is built from the non-blocking ring ops with a spin -> yield -> sleep
+// backoff instead of a condition variable, so no mutex exists anywhere
+// on the path.
 
 #include <atomic>
 #include <chrono>
@@ -58,18 +58,6 @@ class BusQueue {
     if (closed_.load(std::memory_order_acquire)) return false;
     if (ring_.size() >= hwm_) return false;
     return ring_.try_push_from(value);
-  }
-
-  /// Blocking push (kBlock ablation); false once closed.
-  bool push(T value) {
-    detail::Backoff backoff;
-    while (!closed_.load(std::memory_order_acquire)) {
-      // try_push_from consumes `value` only on success, so retrying the
-      // same object after a full ring is safe.
-      if (ring_.size() < hwm_ && ring_.try_push_from(value)) return true;
-      backoff.pause();
-    }
-    return false;
   }
 
   /// Non-blocking pop. Lock-free.

@@ -96,10 +96,9 @@ PubSocket::~PubSocket() {
   }
 }
 
-std::shared_ptr<Subscription> PubSocket::subscribe(std::string topic_prefix, std::size_t hwm,
-                                                   HwmPolicy policy) {
+std::shared_ptr<Subscription> PubSocket::subscribe(std::string topic_prefix, std::size_t hwm) {
   auto sub = std::make_shared<Subscription>(std::move(topic_prefix),
-                                            hwm != 0 ? hwm : default_hwm_, policy, fanin_lanes_);
+                                            hwm != 0 ? hwm : default_hwm_, fanin_lanes_);
   auto* node = new SubNode{sub, head_.load(std::memory_order_relaxed)};
   while (!head_.compare_exchange_weak(node->next, node, std::memory_order_release,
                                       std::memory_order_relaxed)) {

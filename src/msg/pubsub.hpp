@@ -10,8 +10,8 @@
 // The publish path is lock-free end to end: the subscriber list is an
 // immutable atomic snapshot (copy-on-subscribe, never copy-on-publish),
 // per-subscription queues are lock-free rings (BusQueue) and all
-// counters are atomics.  Under HwmPolicy::kDrop a publish acquires no
-// mutex regardless of subscriber count or contention.
+// counters are atomics.  A publish acquires no mutex regardless of
+// subscriber count or contention.
 //
 // Fan-in lanes: with N worker lcores all flushing latency batches into
 // one subscriber, a single MPMC ring makes every worker CAS-contend on
@@ -42,20 +42,13 @@
 
 namespace ruru {
 
-/// What happens when a subscriber's queue is at its high-water mark.
-enum class HwmPolicy {
-  kDrop,   ///< lose the message (ZeroMQ PUB behaviour; pipeline default)
-  kBlock,  ///< block the publisher (ablation: shows why taps must not)
-};
-
 class Subscription {
  public:
   /// `lanes` per-publisher-lane queues are created in addition to the
   /// shared queue; each gets the full `hwm` (the HWM bounds per-worker
   /// backlog, so one stalled consumer loses batches lane by lane).
-  Subscription(std::string topic_prefix, std::size_t hwm, HwmPolicy policy = HwmPolicy::kDrop,
-               std::size_t lanes = 0)
-      : prefix_(std::move(topic_prefix)), queue_(hwm), policy_(policy) {
+  Subscription(std::string topic_prefix, std::size_t hwm, std::size_t lanes = 0)
+      : prefix_(std::move(topic_prefix)), queue_(hwm) {
     lanes_.reserve(lanes);
     for (std::size_t i = 0; i < lanes; ++i) {
       lanes_.push_back(std::make_unique<BusQueue<Message>>(hwm));
@@ -109,7 +102,7 @@ class Subscription {
     return offer_to(lane < lanes_.size() ? *lanes_[lane] : queue_, m, samples);
   }
   bool offer_to(BusQueue<Message>& q, const Message& m, std::uint64_t samples) {
-    const bool ok = policy_ == HwmPolicy::kBlock ? q.push(m) : q.try_push(m);
+    const bool ok = q.try_push(m);
     if (ok) {
       delivered_.fetch_add(samples, std::memory_order_relaxed);
     } else {
@@ -124,7 +117,6 @@ class Subscription {
   BusQueue<Message> queue_;  ///< shared (lane-less publish) queue
   /// Per-publisher-lane queues; unique_ptr because BusQueue is pinned.
   std::vector<std::unique_ptr<BusQueue<Message>>> lanes_;
-  HwmPolicy policy_;
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> dropped_{0};
   /// Round-robin receive cursor (fairness across lanes, shared by a
@@ -146,11 +138,10 @@ class PubSocket {
   /// New subscription for topics starting with `topic_prefix` (empty =
   /// everything). Thread-safe, including against concurrent publishers:
   /// the list is append-only and published with a release CAS.
-  std::shared_ptr<Subscription> subscribe(std::string topic_prefix, std::size_t hwm = 0,
-                                          HwmPolicy policy = HwmPolicy::kDrop);
+  std::shared_ptr<Subscription> subscribe(std::string topic_prefix, std::size_t hwm = 0);
 
-  /// Fan out to all matching subscriptions; never blocks under kDrop and
-  /// acquires no mutex. `samples` is the number of samples the message
+  /// Fan out to all matching subscriptions; never blocks and acquires
+  /// no mutex. `samples` is the number of samples the message
   /// carries (weights the delivered/dropped/published counters). Returns
   /// the number of subscribers that accepted the message.
   std::size_t publish(const Message& message, std::uint64_t samples = 1);

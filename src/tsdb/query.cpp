@@ -10,7 +10,7 @@ namespace ruru {
 
 namespace {
 
-/// Exact replica of TimeSeriesDb::summarize.  Sorting first makes the
+/// Same arithmetic as the test oracle's summarize.  Sorting first makes the
 /// result independent of collection order, which is what lets the
 /// compressed engine match the uncompressed oracle bit for bit.
 AggregateResult summarize(std::vector<double>& values) {
@@ -195,7 +195,7 @@ std::vector<WindowResult> TsdbEngine::window_aggregate(const std::string& measur
 std::vector<GroupResult> TsdbEngine::group_by(const std::string& measurement,
                                               const std::string& tag_key, const TagSet& filter,
                                               Timestamp t0, Timestamp t1) const {
-  // std::map keys keep the legacy ordering: groups sorted by tag value.
+  // std::map keys keep the oracle's ordering: groups sorted by tag value.
   std::map<std::string, std::vector<double>> groups;
   std::vector<SeriesId> sids;
   const std::uint32_t key_id = index_.find_name(tag_key);
@@ -205,7 +205,7 @@ std::vector<GroupResult> TsdbEngine::group_by(const std::string& measurement,
       const std::uint32_t vid = index_.tag_value_id(sid, key_id);
       if (vid == SeriesIndex::kNotFound) continue;
       snapshot_series(sid, snap);
-      // The legacy store creates the (possibly empty) group for every
+      // The oracle creates the (possibly empty) group for every
       // resident series; series whose points were fully dropped by
       // retention are not resident there, so skip empty snapshots.
       if (snap.sealed.empty() && snap.open_count == 0) continue;

@@ -18,10 +18,10 @@
 // Query model
 //   aggregate / window_aggregate / group_by / downsample iterate the
 //   compressed chunks directly (decode-on-scan; no materialized
-//   vector<double> per series) and reproduce the legacy TimeSeriesDb
-//   results exactly: summarize() sorts before accumulating, so results
-//   are independent of decode order and the uncompressed store doubles
-//   as a bit-for-bit oracle in the parity suite.
+//   vector<double> per series) and reproduce the uncompressed test
+//   oracle's results exactly (tests/oracle): summarize() sorts before
+//   accumulating, so results are independent of decode order and the
+//   parity suite can compare bit for bit.
 
 #include <atomic>
 #include <cstdint>
@@ -69,7 +69,7 @@ class TsdbEngine {
   /// Hot ingest path: no strings, locks only the owning shard.
   void append(SeriesId sid, Timestamp time, double value);
 
-  /// Legacy-compatible ingest (resolve + append in one call).
+  /// Resolve + append in one call (cold paths, WAL replay).
   void write(const std::string& measurement, const TagSet& tags, Timestamp time, double value) {
     append(index_.resolve(measurement, tags), time, value);
   }
@@ -89,7 +89,10 @@ class TsdbEngine {
                                                   const TagSet& filter, Timestamp t0,
                                                   Timestamp t1) const;
 
-  /// Continuous-query rollup: same contract as TimeSeriesDb::downsample.
+  /// Continuous-query rollup: aggregates `src` into `window`-wide
+  /// buckets per series (tags preserved) and writes `stat` ("mean"|
+  /// "median"|"min"|"max"|"count"|"p99") of each bucket into `dst` at
+  /// the bucket start time. Returns points written.
   std::size_t downsample(const std::string& src, const std::string& dst, Duration window,
                          const std::string& stat = "mean");
 
@@ -98,7 +101,7 @@ class TsdbEngine {
   std::size_t enforce_retention(Timestamp now, Duration horizon,
                                 const std::vector<std::string>& only_measurements = {});
 
-  /// Series currently holding at least one point (legacy semantics).
+  /// Series currently holding at least one point.
   [[nodiscard]] std::size_t series_count() const;
   [[nodiscard]] std::uint64_t points_written() const {
     return points_.load(std::memory_order_relaxed);

@@ -10,7 +10,7 @@
 // per-point append path (appends carry only a SeriesId).
 //
 // Tag pairs are stored in the TagSet's canonical (key-sorted) order, so
-// "first value for a key" matches the legacy TagSet::get() contract and
+// "first value for a key" matches the TagSet::get() contract and
 // the fingerprint is insertion-order independent.  The canonical string
 // is built once per series at creation (cold) and kept for the WAL.
 //
@@ -68,8 +68,8 @@ class SeriesIndex {
 
   [[nodiscard]] TagFilter make_filter(const TagSet& filter) const;
 
-  /// True when every (key,value) in `filter` matches this series (legacy
-  /// TagSet::matches semantics: first value per key wins).
+  /// True when every (key,value) in `filter` matches this series
+  /// (TagSet::matches semantics: first value per key wins).
   [[nodiscard]] bool matches(SeriesId sid, const TagFilter& filter) const;
 
   /// Value id for `key_id` on this series; kNotFound when absent.

@@ -1,18 +1,14 @@
 #pragma once
-// Tagged time-series store (the InfluxDB role in the paper's pipeline).
+// Tagged time-series data model (the InfluxDB role in the paper's
+// pipeline); the store itself is TsdbEngine in tsdb/query.hpp.
 //
 // Data model mirrors what the Grafana dashboards need: a measurement
 // name, a small set of tag key/values (src_city, dst_city, src_as, ...),
 // and timestamped float values.  Queries compute min / max / mean /
 // median (+p95/p99) over a time range — the exact statistics §2 lists —
 // optionally grouped by one tag or bucketed into fixed windows.
-//
-// Thread-safe: one mutex around the series map (the ingest path is a
-// single writer in practice; queries are rare and short).
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -36,8 +32,8 @@ class TagSet {
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 
   /// Canonical "k1=v1,k2=v2" form (sorted by key).  Built once and
-  /// cached; repeat calls (the per-point legacy write path) return the
-  /// cached string instead of reallocating it.
+  /// cached; repeat calls return the cached string instead of
+  /// reallocating it.
   [[nodiscard]] const std::string& canonical() const;
 
   [[nodiscard]] const std::vector<std::pair<std::string, std::string>>& entries() const {
@@ -53,11 +49,6 @@ class TagSet {
   mutable std::string canonical_;
   mutable bool normalized_ = true;
   mutable bool canonical_valid_ = false;
-};
-
-struct DataPoint {
-  Timestamp time;
-  double value = 0.0;
 };
 
 struct AggregateResult {
@@ -78,68 +69,6 @@ struct WindowResult {
 struct GroupResult {
   std::string tag_value;
   AggregateResult stats;
-};
-
-class Wal;  // forward; see wal.hpp
-
-class TimeSeriesDb {
- public:
-  TimeSeriesDb() = default;
-
-  /// Attach a write-ahead log: every write() is appended to it.
-  void attach_wal(Wal* wal) { wal_ = wal; }
-
-  void write(const std::string& measurement, const TagSet& tags, Timestamp time, double value);
-
-  /// Stats over [t0, t1) for points whose tags match `filter`.
-  [[nodiscard]] AggregateResult aggregate(const std::string& measurement, const TagSet& filter,
-                                          Timestamp t0, Timestamp t1) const;
-
-  /// Fixed-width windows over [t0, t1); empty windows are omitted.
-  [[nodiscard]] std::vector<WindowResult> window_aggregate(const std::string& measurement,
-                                                           const TagSet& filter, Timestamp t0,
-                                                           Timestamp t1, Duration step) const;
-
-  /// Group matching series by the value of `tag_key` ("indexing data on
-  /// geo-location and AS information").
-  [[nodiscard]] std::vector<GroupResult> group_by(const std::string& measurement,
-                                                  const std::string& tag_key,
-                                                  const TagSet& filter, Timestamp t0,
-                                                  Timestamp t1) const;
-
-  /// Drops all points older than `horizon` before `now`. Returns points
-  /// dropped. When `only_measurements` is non-empty, other measurements
-  /// are untouched (the keep-downsampled-drop-raw pattern).
-  std::size_t enforce_retention(Timestamp now, Duration horizon,
-                                const std::vector<std::string>& only_measurements = {});
-
-  /// Continuous-query role: aggregates `src` into `window`-wide buckets
-  /// per series (tags preserved) and writes `stat` ("mean"|"median"|
-  /// "min"|"max"|"count"|"p99") of each bucket into measurement `dst`
-  /// at the bucket start time. Typical use: keep raw samples short-term
-  /// (enforce_retention) and 1-minute medians long-term. Returns points
-  /// written.
-  std::size_t downsample(const std::string& src, const std::string& dst, Duration window,
-                         const std::string& stat = "mean");
-
-  [[nodiscard]] std::size_t series_count() const;
-  [[nodiscard]] std::uint64_t points_written() const;
-
- private:
-  struct Series {
-    TagSet tags;
-    std::vector<DataPoint> points;  // append-mostly, time-ordered-ish
-    bool sorted = true;
-  };
-
-  static void collect(const Series& s, Timestamp t0, Timestamp t1, std::vector<double>& out);
-  static AggregateResult summarize(std::vector<double>& values);
-
-  mutable std::mutex mu_;
-  // measurement -> canonical tags -> series
-  std::map<std::string, std::map<std::string, Series>> data_;
-  std::uint64_t points_ = 0;
-  Wal* wal_ = nullptr;
 };
 
 }  // namespace ruru

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "tsdb/query.hpp"
-#include "tsdb/tsdb.hpp"
 #include "util/byte_order.hpp"
 #include "util/crc32.hpp"
 
@@ -61,11 +60,6 @@ void Wal::append(std::string_view measurement, std::string_view canonical_tags, 
   records_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Wal::append(const std::string& measurement, const TagSet& tags, Timestamp time,
-                 double value) {
-  append(std::string_view(measurement), std::string_view(tags.canonical()), time, value);
-}
-
 void Wal::sync() {
   if (file_) std::fflush(file_.get());
 }
@@ -89,10 +83,9 @@ TagSet parse_tags(std::string_view canon) {
   return tags;
 }
 
-/// Shared recovery loop: applies clean records, stops at the first torn
-/// or corrupt one.  `Db` is anything with the legacy write() signature.
-template <typename Db>
-Result<std::uint64_t> replay_into(const std::string& path, Db& db) {
+}  // namespace
+
+Result<std::uint64_t> Wal::replay(const std::string& path, TsdbEngine& db) {
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(std::fopen(path.c_str(), "rb"),
                                                     &std::fclose);
   if (!f) return make_error("wal: cannot open '" + path + "' for replay");
@@ -125,16 +118,6 @@ Result<std::uint64_t> replay_into(const std::string& path, Db& db) {
     ++applied;
   }
   return applied;
-}
-
-}  // namespace
-
-Result<std::uint64_t> Wal::replay(const std::string& path, TimeSeriesDb& db) {
-  return replay_into(path, db);
-}
-
-Result<std::uint64_t> Wal::replay(const std::string& path, TsdbEngine& db) {
-  return replay_into(path, db);
 }
 
 }  // namespace ruru

@@ -26,8 +26,6 @@
 
 namespace ruru {
 
-class TagSet;
-class TimeSeriesDb;
 class TsdbEngine;
 
 class Wal {
@@ -43,8 +41,6 @@ class Wal {
   void append(std::string_view measurement, std::string_view canonical_tags, Timestamp time,
               double value);
 
-  void append(const std::string& measurement, const TagSet& tags, Timestamp time, double value);
-
   /// Flush buffered records to the OS.
   void sync();
 
@@ -54,7 +50,6 @@ class Wal {
 
   /// Replays `path`. Returns records applied; recovery truncates at the
   /// first torn or corrupt record (crash semantics).
-  static Result<std::uint64_t> replay(const std::string& path, TimeSeriesDb& db);
   static Result<std::uint64_t> replay(const std::string& path, TsdbEngine& db);
 
  private:

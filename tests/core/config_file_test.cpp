@@ -96,6 +96,40 @@ TEST(PipelineConfigFile, SanityBounds) {
   EXPECT_FALSE(pipeline_config_from_text("[analytics]\nthreads = 0\n").ok());
 }
 
+/// Expects `text` to be refused with an error naming `key` and `limit`.
+void expect_out_of_range(const std::string& text, const std::string& key,
+                         const std::string& limit) {
+  const auto r = pipeline_config_from_text(text);
+  ASSERT_FALSE(r.ok()) << text;
+  EXPECT_NE(r.error().find(key), std::string::npos) << r.error();
+  EXPECT_NE(r.error().find(limit), std::string::npos) << r.error();
+}
+
+TEST(PipelineConfigFile, QueuesAboveU16MaxRejected) {
+  // Narrowing into the 16-bit field would wrap 65537 to 1 queue.
+  expect_out_of_range("[capture]\nqueues = 65537\n", "capture.queues", "65535");
+}
+
+TEST(PipelineConfigFile, U64OverflowRejected) {
+  // 2^64 + 1: unchecked digit accumulation wraps this to 1.
+  expect_out_of_range("[capture]\nqueues = 18446744073709551617\n", "capture.queues", "65535");
+  // The same overflow into a 64-bit field names the 64-bit limit.
+  expect_out_of_range("[detectors]\nsynflood_min_syns = 18446744073709551616\n",
+                      "detectors.synflood_min_syns", "18446744073709551615");
+}
+
+TEST(PipelineConfigFile, ChunkPointsAboveU32MaxRejected) {
+  // Narrowing 2^32 + 1 gives 1 point per chunk.
+  expect_out_of_range("[storage]\ntsdb_chunk_points = 4294967297\n",
+                      "storage.tsdb_chunk_points", "4294967295");
+}
+
+TEST(PipelineConfigFile, TraceSampleNAboveU32MaxRejected) {
+  // Narrowing 2^32 gives 0, which silently turns tracing off.
+  expect_out_of_range("[obs]\ntrace_sample_n = 4294967296\n", "obs.trace_sample_n",
+                      "4294967295");
+}
+
 TEST(PipelineConfigFile, StoragePolicyKeys) {
   const auto r = pipeline_config_from_text(
       "[storage]\ndownsample_window_s = 60\ndownsample_stat = p99\nretention_s = 3600\n");
@@ -263,23 +297,40 @@ TEST(PipelineConfigFile, EmptyTextYieldsDefaults) {
 }
 
 TEST(PipelineConfigFile, TopologyKeys) {
+  // Worker lcores and RX queues are 1:1 (one flow table per queue), so
+  // capture.queues sets the worker count and analytics.threads the
+  // enricher count; [topology] carries only the pin list.
   const auto r = pipeline_config_from_text(
+      "[capture]\n"
+      "queues = 4\n"
+      "[analytics]\n"
+      "threads = 2\n"
       "[topology]\n"
-      "workers = 4\n"
-      "enrichers = 2\n"
       "pin_cpus = 0, 1, -1, 3, 4, 5\n");
   ASSERT_TRUE(r.ok()) << r.error();
-  // Workers and RX queues are 1:1 (one flow table per queue).
   EXPECT_EQ(r.value().num_queues, 4);
   EXPECT_EQ(r.value().enrichment_threads, 2u);
   EXPECT_EQ(r.value().pin_cpus, (std::vector<int>{0, 1, -1, 3, 4, 5}));
 }
 
+TEST(PipelineConfigFile, RemovedAliasKeysAreUnknown) {
+  // Keys the parser no longer accepts must fail as unknown, not
+  // silently no-op.
+  for (const char* text : {"[topology]\nworkers = 4\n", "[topology]\nenrichers = 2\n",
+                           "[capture]\ninject_burst = 8\n"}) {
+    const auto r = pipeline_config_from_text(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_NE(r.error().find("unknown key"), std::string::npos) << r.error();
+  }
+}
+
 TEST(PipelineConfigFile, PinListMayCoverWorkersOnly) {
   const auto r = pipeline_config_from_text(
+      "[capture]\n"
+      "queues = 2\n"
+      "[analytics]\n"
+      "threads = 2\n"
       "[topology]\n"
-      "workers = 2\n"
-      "enrichers = 2\n"
       "pin_cpus = 0,1\n");  // workers pinned, enrichers roam
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_EQ(r.value().pin_cpus.size(), 2u);
@@ -287,9 +338,11 @@ TEST(PipelineConfigFile, PinListMayCoverWorkersOnly) {
 
 TEST(PipelineConfigFile, PinListLengthMismatchRejected) {
   const auto r = pipeline_config_from_text(
+      "[capture]\n"
+      "queues = 4\n"
+      "[analytics]\n"
+      "threads = 2\n"
       "[topology]\n"
-      "workers = 4\n"
-      "enrichers = 2\n"
       "pin_cpus = 0,1,2\n");  // neither 4 (workers) nor 6 (workers+enrichers)
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.error().find("pin_cpus"), std::string::npos);

@@ -137,5 +137,31 @@ TEST(InflowPipeline, OneSidedSamplesStayOutOfHandshakeSeries) {
   EXPECT_GT(inflow.count, expected);  // continuous: many samples per flow
 }
 
+TEST(InflowPipeline, RetentionAgesOutRawInflowPoints) {
+  // Retention covers every raw per-sample measurement: in-flow and
+  // one-sided points older than the horizon age out exactly like the
+  // handshake triple, while newer ones stay.
+  const World world = scenario_world();
+  PipelineConfig cfg = inflow_config(true);
+  cfg.retention_horizon = Duration::from_sec(2.0);
+  auto model = scenarios::inflow_shift(17, 20.0, Duration::from_sec(10.0),
+                                       Timestamp::from_sec(5.0), Duration::from_ms(80));
+  RuruPipeline pipeline(cfg, world.geo, world.as);
+  pipeline.start();
+  replay_scenario(pipeline, model);
+  pipeline.finish();
+
+  // finish() anchors retention at the end of the last link-meter window.
+  ASSERT_FALSE(pipeline.link_meter().closed().empty());
+  const Timestamp cutoff = pipeline.link_meter().closed().back().start +
+                           cfg.link_meter_window - cfg.retention_horizon;
+  const Timestamp everything = Timestamp::from_sec(1e6);
+  for (const char* m : {"total_ms", "internal_ms", "external_ms", "inflow_ms", "onesided_ms"}) {
+    EXPECT_EQ(pipeline.tsdb().aggregate(m, TagSet{}, Timestamp{}, cutoff).count, 0u) << m;
+  }
+  EXPECT_GT(pipeline.tsdb().aggregate("inflow_ms", TagSet{}, cutoff, everything).count, 10u);
+  EXPECT_GT(pipeline.tsdb().aggregate("total_ms", TagSet{}, cutoff, everything).count, 0u);
+}
+
 }  // namespace
 }  // namespace ruru

@@ -103,37 +103,6 @@ TEST(PubSub, ConcurrentPublishersAllDeliver) {
   EXPECT_EQ(sub->dropped(), 0u);
 }
 
-TEST(PubSub, BlockPolicyStallsPublisherUntilDrained) {
-  PubSocket pub;
-  auto sub = pub.subscribe("", /*hwm=*/2, HwmPolicy::kBlock);
-  pub.publish(msg("t", "1"));
-  pub.publish(msg("t", "2"));
-
-  std::atomic<bool> third_published{false};
-  std::thread publisher([&] {
-    pub.publish(msg("t", "3"));  // blocks at HWM
-    third_published = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(third_published.load());  // backpressure, unlike kDrop
-  EXPECT_TRUE(sub->try_recv().has_value());
-  publisher.join();
-  EXPECT_TRUE(third_published.load());
-  EXPECT_EQ(sub->dropped(), 0u);
-  EXPECT_EQ(sub->delivered(), 3u);
-}
-
-TEST(PubSub, BlockPolicyUnblocksOnClose) {
-  PubSocket pub;
-  auto sub = pub.subscribe("", 1, HwmPolicy::kBlock);
-  pub.publish(msg("t", "1"));
-  std::thread publisher([&] { pub.publish(msg("t", "2")); });  // blocks
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  pub.close_all();  // must release the stuck publisher
-  publisher.join();
-  SUCCEED();
-}
-
 TEST(PubSub, WeightedPublishCountsSamples) {
   PubSocket pub;
   auto sub = pub.subscribe("t", /*hwm=*/2);

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "tsdb/tsdb.hpp"
+#include "tsdb/query.hpp"
 
 namespace ruru {
 namespace {
@@ -23,7 +23,7 @@ class DownsampleTest : public ::testing::Test {
       }
     }
   }
-  TimeSeriesDb db_;
+  TsdbEngine db_;
 };
 
 TEST_F(DownsampleTest, MeanPerWindowPerSeries) {

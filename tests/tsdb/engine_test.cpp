@@ -1,10 +1,11 @@
 // TsdbEngine oracle parity: the engine must answer every query
-// bit-for-bit identically to the uncompressed TimeSeriesDb when both
-// receive the same write sequence.  summarize() sorts before
-// accumulating on both sides and the chunk codec is exact, so EXPECT_EQ
-// on doubles is the honest assertion — any epsilon would hide a codec
-// or scan bug.  chunk_points=4 and a narrow time partition force seal
-// boundaries mid-stream; retention forces straddling-chunk rewrites.
+// bit-for-bit identically to the uncompressed TimeSeriesDb test oracle
+// (tests/oracle) when both receive the same write sequence.
+// summarize() sorts before accumulating on both sides and the chunk
+// codec is exact, so EXPECT_EQ on doubles is the honest assertion — any
+// epsilon would hide a codec or scan bug.  chunk_points=4 and a narrow
+// time partition force seal boundaries mid-stream; retention forces
+// straddling-chunk rewrites.
 
 #include "tsdb/query.hpp"
 
@@ -13,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "tsdb/tsdb.hpp"
+#include "oracle/legacy_tsdb.hpp"
 #include "util/random.hpp"
 
 namespace ruru {

@@ -1,3 +1,7 @@
+// TagSet semantics plus the Tsdb.* suite: the test oracle's own tests
+// (tests/oracle), so the store the engine parity suite trusts is
+// itself checked against hand-computed and brute-force answers.
+
 #include "tsdb/tsdb.hpp"
 
 #include <gtest/gtest.h>
@@ -5,6 +9,7 @@
 #include <algorithm>
 #include <thread>
 
+#include "oracle/legacy_tsdb.hpp"
 #include "util/random.hpp"
 
 namespace ruru {

@@ -1,8 +1,8 @@
-// WAL v2 (length + CRC32 framing): round-trip into both the legacy
-// store and the engine, plus the recovery contract the format exists
-// for — replay applies exactly the records that were fully and
-// correctly written, truncating at the first torn or corrupt record.
-// The truncation test cuts the log at EVERY byte offset; the
+// WAL v2 (length + CRC32 framing): round-trip through TsdbEngine,
+// checked against the legacy test oracle, plus the recovery contract
+// the format exists for — replay applies exactly the records that were
+// fully and correctly written, truncating at the first torn or corrupt
+// record.  The truncation test cuts the log at EVERY byte offset; the
 // corruption test flips EVERY byte.  Both assertions are exact, not
 // "some prefix": the framed record boundaries are recomputed from the
 // headers, so the tests fail loudly if the format or the recovery
@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "oracle/legacy_tsdb.hpp"
 #include "tsdb/query.hpp"
-#include "tsdb/tsdb.hpp"
 
 namespace ruru {
 namespace {
@@ -79,7 +79,7 @@ std::vector<std::size_t> record_ends(const std::vector<std::uint8_t>& bytes) {
 }
 
 TEST_F(WalTest, ReplayRebuildsExactState) {
-  TimeSeriesDb original;
+  TsdbEngine original;
   {
     auto wal = Wal::create(path_);
     ASSERT_TRUE(wal.ok()) << wal.error();
@@ -91,7 +91,7 @@ TEST_F(WalTest, ReplayRebuildsExactState) {
     wal.value().sync();
   }
 
-  TimeSeriesDb rebuilt;
+  TsdbEngine rebuilt;
   const auto applied = Wal::replay(path_, rebuilt);
   ASSERT_TRUE(applied.ok()) << applied.error();
   EXPECT_EQ(applied.value(), 3u);
@@ -113,8 +113,10 @@ TEST_F(WalTest, ReplayRebuildsExactState) {
 }
 
 TEST_F(WalTest, EngineWritesReplayIntoEngineAndLegacy) {
-  // The engine mirrors appends through the same WAL; a log written by
-  // the engine must rebuild either store.
+  // A log written by the engine rebuilds an engine that answers exactly
+  // like the legacy oracle fed the same points directly (oracle parity
+  // holds through a WAL round-trip, tags included).
+  TimeSeriesDb legacy;
   {
     auto wal = Wal::create(path_);
     ASSERT_TRUE(wal.ok()) << wal.error();
@@ -123,28 +125,25 @@ TEST_F(WalTest, EngineWritesReplayIntoEngineAndLegacy) {
     const SeriesId sid = engine.series("total_ms", tags("Auckland"));
     for (int i = 0; i < 100; ++i) {
       engine.append(sid, Timestamp::from_ms(i), 100.0 + i * 0.5);
+      legacy.write("total_ms", tags("Auckland"), Timestamp::from_ms(i), 100.0 + i * 0.5);
     }
     engine.write("internal_ms", tags("Wellington"), Timestamp::from_ms(7), 5.0);
+    legacy.write("internal_ms", tags("Wellington"), Timestamp::from_ms(7), 5.0);
     EXPECT_EQ(wal.value().records(), 101u);
     wal.value().sync();
   }
 
-  TsdbEngine engine2;
-  const auto into_engine = Wal::replay(path_, engine2);
-  ASSERT_TRUE(into_engine.ok()) << into_engine.error();
-  EXPECT_EQ(into_engine.value(), 101u);
+  TsdbEngine rebuilt;
+  const auto applied = Wal::replay(path_, rebuilt);
+  ASSERT_TRUE(applied.ok()) << applied.error();
+  EXPECT_EQ(applied.value(), 101u);
+  EXPECT_EQ(rebuilt.points_written(), legacy.points_written());
+  EXPECT_EQ(rebuilt.series_count(), legacy.series_count());
 
-  TimeSeriesDb legacy;
-  const auto into_legacy = Wal::replay(path_, legacy);
-  ASSERT_TRUE(into_legacy.ok()) << into_legacy.error();
-  EXPECT_EQ(into_legacy.value(), 101u);
-
-  // Both rebuilt stores agree with each other (oracle parity holds
-  // through a WAL round-trip, tags included).
   TagSet filter;
   filter.add("src_city", "Auckland");
   const auto a = legacy.aggregate("total_ms", filter, Timestamp{}, Timestamp::from_sec(10));
-  const auto b = engine2.aggregate("total_ms", filter, Timestamp{}, Timestamp::from_sec(10));
+  const auto b = rebuilt.aggregate("total_ms", filter, Timestamp{}, Timestamp::from_sec(10));
   EXPECT_EQ(a.count, 100u);
   EXPECT_EQ(a.count, b.count);
   EXPECT_EQ(a.mean, b.mean);
@@ -155,7 +154,7 @@ TEST_F(WalTest, ToleratesTornTail) {
   {
     auto wal = Wal::create(path_);
     ASSERT_TRUE(wal.ok());
-    TimeSeriesDb db;
+    TsdbEngine db;
     db.attach_wal(&wal.value());
     db.write("m", tags("A"), Timestamp::from_ms(1), 1.0);
     db.write("m", tags("B"), Timestamp::from_ms(2), 2.0);
@@ -167,7 +166,7 @@ TEST_F(WalTest, ToleratesTornTail) {
   std::fwrite(partial, 1, sizeof partial, f);
   std::fclose(f);
 
-  TimeSeriesDb rebuilt;
+  TsdbEngine rebuilt;
   const auto applied = Wal::replay(path_, rebuilt);
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(applied.value(), 2u);  // intact records only
@@ -178,7 +177,7 @@ TEST_F(WalTest, TruncationAtEveryByteOffset) {
   {
     auto wal = Wal::create(path_);
     ASSERT_TRUE(wal.ok());
-    TimeSeriesDb db;
+    TsdbEngine db;
     db.attach_wal(&wal.value());
     for (int i = 0; i < kRecords; ++i) {
       // Varying string lengths so record sizes differ.
@@ -199,7 +198,7 @@ TEST_F(WalTest, TruncationAtEveryByteOffset) {
     std::size_t expect = 0;
     while (expect < ends.size() && ends[expect] <= cut) ++expect;
 
-    TimeSeriesDb rebuilt;
+    TsdbEngine rebuilt;
     const auto applied = Wal::replay(mut_path_, rebuilt);
     ASSERT_TRUE(applied.ok()) << "cut at " << cut;
     EXPECT_EQ(applied.value(), expect) << "cut at " << cut;
@@ -212,7 +211,7 @@ TEST_F(WalTest, ByteFlipStopsAtDamagedRecord) {
   {
     auto wal = Wal::create(path_);
     ASSERT_TRUE(wal.ok());
-    TimeSeriesDb db;
+    TsdbEngine db;
     db.attach_wal(&wal.value());
     for (int i = 0; i < kRecords; ++i) {
       db.write("m", tags("c" + std::to_string(i)), Timestamp::from_ms(i),
@@ -237,7 +236,7 @@ TEST_F(WalTest, ByteFlipStopsAtDamagedRecord) {
     std::size_t damaged = 0;
     while (ends[damaged] <= pos) ++damaged;
 
-    TimeSeriesDb rebuilt;
+    TsdbEngine rebuilt;
     const auto applied = Wal::replay(mut_path_, rebuilt);
     ASSERT_TRUE(applied.ok()) << "flip at " << pos;
     EXPECT_EQ(applied.value(), damaged) << "flip at " << pos;
@@ -249,7 +248,7 @@ TEST_F(WalTest, ImplausibleLengthFieldsStopReplay) {
   {
     auto wal = Wal::create(path_);
     ASSERT_TRUE(wal.ok());
-    TimeSeriesDb db;
+    TsdbEngine db;
     db.attach_wal(&wal.value());
     db.write("m", tags("A"), Timestamp::from_ms(1), 1.0);
     db.write("m", tags("B"), Timestamp::from_ms(2), 2.0);
@@ -270,7 +269,7 @@ TEST_F(WalTest, ImplausibleLengthFieldsStopReplay) {
     mutated[off + 3] = static_cast<std::uint8_t>(bad_len >> 24);
     write_file(mut_path_, mutated, mutated.size());
 
-    TimeSeriesDb rebuilt;
+    TsdbEngine rebuilt;
     const auto applied = Wal::replay(mut_path_, rebuilt);
     ASSERT_TRUE(applied.ok());
     EXPECT_EQ(applied.value(), 1u) << "len=" << bad_len;
@@ -278,7 +277,7 @@ TEST_F(WalTest, ImplausibleLengthFieldsStopReplay) {
 }
 
 TEST_F(WalTest, ReplayMissingFileFails) {
-  TimeSeriesDb db;
+  TsdbEngine db;
   EXPECT_FALSE(Wal::replay("/no/such/file.wal", db).ok());
 }
 
@@ -287,7 +286,7 @@ TEST_F(WalTest, EmptyWalReplaysZero) {
     auto wal = Wal::create(path_);
     ASSERT_TRUE(wal.ok());
   }
-  TimeSeriesDb db;
+  TsdbEngine db;
   const auto applied = Wal::replay(path_, db);
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(applied.value(), 0u);
@@ -297,7 +296,7 @@ TEST_F(WalTest, ManyRecordsSurvive) {
   {
     auto wal = Wal::create(path_);
     ASSERT_TRUE(wal.ok());
-    TimeSeriesDb db;
+    TsdbEngine db;
     db.attach_wal(&wal.value());
     for (int i = 0; i < 10'000; ++i) {
       db.write("m", tags("city" + std::to_string(i % 20)), Timestamp::from_ms(i),
@@ -305,7 +304,7 @@ TEST_F(WalTest, ManyRecordsSurvive) {
     }
     wal.value().sync();
   }
-  TimeSeriesDb rebuilt;
+  TsdbEngine rebuilt;
   const auto applied = Wal::replay(path_, rebuilt);
   ASSERT_TRUE(applied.ok());
   EXPECT_EQ(applied.value(), 10'000u);
