@@ -1,10 +1,10 @@
-// Flow-table probe benchmarks: the SIMD group-probed Swiss-style table
-// against (a) its own forced-scalar kernels and (b) a faithful copy of
-// the linear-probe table this PR replaced.  Mixes: resident hits, clean
-// misses, a collision-heavy high-load mix (the acceptance gate), and a
-// Zipf-churned workload shaped like production flow popularity.  The
-// tracker benches compare per-packet process() with the batched,
-// prefetch-pipelined process_burst().
+// Flow-table probe benchmarks: the group-probed Swiss-style table (on
+// the build's probe kernel) against a faithful copy of the linear-probe
+// table it replaced.  Mixes: resident hits, clean misses, a collision-
+// heavy high-load mix (the acceptance gate), and a Zipf-churned workload
+// shaped like production flow popularity.  The tracker benches compare
+// per-packet process() with the batched, prefetch-pipelined
+// process_burst().
 
 #include <benchmark/benchmark.h>
 
@@ -143,7 +143,7 @@ std::vector<Flow> make_flows(std::size_t n, std::uint64_t seed, std::size_t coll
   return flows;
 }
 
-enum class Kind { kGroup, kScalar, kLinear };
+enum class Kind { kGroup, kLinear };
 
 /// Populates `table` with `flows` (window-saturated inserts just fail)
 /// and times find() over `probes` (hit and/or miss traffic).
@@ -183,8 +183,7 @@ void lookup_bench(benchmark::State& state, Kind kind, std::size_t capacity,
     LinearFlowTable table(capacity, kNeverStale);
     run_lookups(state, table, flows, probes);
   } else {
-    FlowTable table(capacity, kNeverStale, FlowTable::kDefaultProbeWindow,
-                    kind == Kind::kScalar ? ProbeKernel::kScalar : ProbeKernel::kAuto);
+    FlowTable table(capacity, kNeverStale);
     run_lookups(state, table, flows, probes);
   }
 }
@@ -194,7 +193,6 @@ void BM_LookupHit(benchmark::State& state, Kind kind) {
   lookup_bench(state, kind, 1 << 14, 1 << 13, 0, false);
 }
 BENCHMARK_CAPTURE(BM_LookupHit, group, Kind::kGroup);
-BENCHMARK_CAPTURE(BM_LookupHit, scalar, Kind::kScalar);
 BENCHMARK_CAPTURE(BM_LookupHit, linear, Kind::kLinear);
 
 void BM_LookupMiss(benchmark::State& state, Kind kind) {
@@ -214,8 +212,7 @@ void BM_LookupMiss(benchmark::State& state, Kind kind) {
       if (++i == strangers.size()) i = 0;
     }
   } else {
-    FlowTable table(1 << 14, kNeverStale, FlowTable::kDefaultProbeWindow,
-                    kind == Kind::kScalar ? ProbeKernel::kScalar : ProbeKernel::kAuto);
+    FlowTable table(1 << 14, kNeverStale);
     bool inserted = false;
     for (const auto& f : flows) {
       table.find_or_insert(f.key, f.rss, Timestamp::from_sec(1), inserted);
@@ -230,7 +227,6 @@ void BM_LookupMiss(benchmark::State& state, Kind kind) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK_CAPTURE(BM_LookupMiss, group, Kind::kGroup);
-BENCHMARK_CAPTURE(BM_LookupMiss, scalar, Kind::kScalar);
 BENCHMARK_CAPTURE(BM_LookupMiss, linear, Kind::kLinear);
 
 void BM_CollisionHeavy(benchmark::State& state, Kind kind) {
@@ -242,7 +238,6 @@ void BM_CollisionHeavy(benchmark::State& state, Kind kind) {
   lookup_bench(state, kind, 1 << 13, (1 << 13) * 90 / 100, 0, true);
 }
 BENCHMARK_CAPTURE(BM_CollisionHeavy, group, Kind::kGroup);
-BENCHMARK_CAPTURE(BM_CollisionHeavy, scalar, Kind::kScalar);
 BENCHMARK_CAPTURE(BM_CollisionHeavy, linear, Kind::kLinear);
 
 void BM_SharedRssPile(benchmark::State& state, Kind kind) {
@@ -255,7 +250,6 @@ void BM_SharedRssPile(benchmark::State& state, Kind kind) {
   lookup_bench(state, kind, 1 << 13, (1 << 13) * 85 / 100, 400, true);
 }
 BENCHMARK_CAPTURE(BM_SharedRssPile, group, Kind::kGroup);
-BENCHMARK_CAPTURE(BM_SharedRssPile, scalar, Kind::kScalar);
 BENCHMARK_CAPTURE(BM_SharedRssPile, linear, Kind::kLinear);
 
 void BM_ZipfChurn(benchmark::State& state, Kind kind) {
@@ -281,8 +275,7 @@ void BM_ZipfChurn(benchmark::State& state, Kind kind) {
       if (++i == order.size()) i = 0;
     }
   } else {
-    FlowTable table(1 << 13, kNeverStale, FlowTable::kDefaultProbeWindow,
-                    kind == Kind::kScalar ? ProbeKernel::kScalar : ProbeKernel::kAuto);
+    FlowTable table(1 << 13, kNeverStale);
     for (auto _ : state) {
       const Flow& f = flows[order[i]];
       const FlowTable::Slot s = table.find_or_insert(f.key, f.rss, Timestamp::from_sec(1), inserted);
@@ -294,7 +287,6 @@ void BM_ZipfChurn(benchmark::State& state, Kind kind) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK_CAPTURE(BM_ZipfChurn, group, Kind::kGroup);
-BENCHMARK_CAPTURE(BM_ZipfChurn, scalar, Kind::kScalar);
 BENCHMARK_CAPTURE(BM_ZipfChurn, linear, Kind::kLinear);
 
 // --- batched handshake tracking ----------------------------------------

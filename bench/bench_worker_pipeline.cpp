@@ -13,8 +13,9 @@
 //   PrefetchDepth — the rx-loop lookahead knob (flow.prefetch_depth)
 //       swept 0..4 over the established-heavy mix on the vector loop.
 //   Transpacific — the fig2 workload on one worker, both kernels; the
-//       vector number doubles as the CI regression smoke
-//       (tools/check.sh worker fails below 0.95x of the recorded pps).
+//       pair doubles as the regression smoke (tools/check.sh invariants
+//       fails when vector:1 runs below 0.95x of vector:0 in the same
+//       invocation).
 
 #include <benchmark/benchmark.h>
 
@@ -207,8 +208,8 @@ BENCHMARK(BM_WorkerPrefetchDepth)
     ->Unit(benchmark::kMillisecond);
 
 // The fig2 workload on one worker — handshake churn, data segments,
-// realistic arrival order — both kernels.  The vector number is the
-// recorded reference for the check.sh regression smoke.
+// realistic arrival order — both kernels.  The scalar number is the
+// same-invocation reference for the check.sh regression smoke.
 void BM_WorkerTranspacific(benchmark::State& state) {
   const auto kernel =
       state.range(0) == 0 ? QueueWorker::LoopKernel::kScalar : QueueWorker::LoopKernel::kVector;

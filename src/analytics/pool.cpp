@@ -66,10 +66,13 @@ void EnrichmentPool::worker_main(std::size_t index) {
   // state.
   std::vector<EnrichedSample> enriched;
   enriched.reserve(kMaxLatencyBatch);
-  // Sharded inbox: with fan-in lanes each worker owns its slice of the
-  // lanes (SPSC pops, per-flow ordering); recv_shard degrades to recv()
-  // when the topology has no lanes or the pool has one thread.
-  const bool sharded = shard_inbox_ && thread_count_ > 1 && source_->lanes() > 0;
+  // Sharded inbox: when every worker can own at least one fan-in lane,
+  // worker w consumes only lanes where lane % threads == w via
+  // recv_shard — uncontended SPSC pops, and each flow (RSS-pinned to one
+  // publisher lane) stays on one worker, in order.  With one thread, or
+  // more threads than lanes (a sharded worker would own none and idle),
+  // all workers share one scan of every lane.
+  const bool sharded = thread_count_ > 1 && source_->lanes() >= thread_count_;
   while (true) {
     auto msg = sharded ? source_->recv_shard(index, thread_count_)
                        : source_->recv();  // blocking; nullopt == closed and drained

@@ -71,13 +71,6 @@ class EnrichmentPool {
   [[nodiscard]] std::size_t pinned() const { return pinned_.load(); }
   [[nodiscard]] std::size_t pin_failures() const { return pin_failures_.load(); }
 
-  /// Sharded inbox (default on): when the subscription has fan-in
-  /// lanes, worker w consumes only lanes where lane % threads == w via
-  /// recv_shard — uncontended SPSC pops, and each flow (RSS-pinned to
-  /// one publisher lane) stays on one worker, in order.  Off = all
-  /// workers share one MPMC scan of every lane.  Call before start().
-  void set_shard_inbox(bool on) { shard_inbox_ = on; }
-
   void start();
   /// Waits for the subscription to drain (after its publisher closes it)
   /// and joins the workers.
@@ -106,7 +99,6 @@ class EnrichmentPool {
   std::vector<std::unique_ptr<Enricher>> enrichers_;
   std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> decode_failures_{0};
-  bool shard_inbox_ = true;
   bool started_ = false;
 };
 

@@ -1,5 +1,6 @@
 #include "core/config_file.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -146,10 +147,21 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
       field = v.value();
       return {};
     };
-    auto set_seconds = [&](Duration& field) -> Status {
+    // `positive`: the key is a window or period the pipeline divides
+    // by or ages against, so zero, negative and sub-nanosecond values
+    // are refused.
+    auto set_seconds = [&](Duration& field, bool positive = false) -> Status {
       auto v = parse_f64(key, value);
       if (!v) return make_error(v.error());
-      field = Duration::from_sec(v.value());
+      // Keeps the nanosecond count inside int64 (and refuses NaN/inf).
+      if (!(std::abs(v.value()) < 9e9)) {
+        return make_error("config: '" + key + "' is out of range, got '" + value + "'");
+      }
+      const Duration d = Duration::from_sec(v.value());
+      if (positive && d.ns <= 0) {
+        return make_error("config: '" + key + "' must be > 0, got '" + value + "'");
+      }
+      field = d;
       return {};
     };
 
@@ -162,16 +174,12 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
       status = set_u64(cfg.mempool_size);
     } else if (key == "capture.mbuf_size") {
       status = set_u64(cfg.mbuf_size);
-    } else if (key == "capture.symmetric_rss") {
-      bool symmetric = true;
-      status = set_bool(symmetric);
-      if (status.ok()) cfg.rss_key = symmetric ? symmetric_rss_key() : default_rss_key();
     } else if (key == "flow.fast_path") {
       status = set_bool(cfg.worker_fast_path);
     } else if (key == "flow.table_capacity") {
       status = set_u64(cfg.flow_table_capacity);
     } else if (key == "flow.stale_after_s") {
-      status = set_seconds(cfg.flow_stale_after);
+      status = set_seconds(cfg.flow_stale_after, /*positive=*/true);
     } else if (key == "flow.probe_window") {
       status = set_u64(cfg.flow_probe_window);
     } else if (key == "flow.inflow_rtt") {
@@ -192,8 +200,6 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
       status = set_seconds(cfg.bus_batch_linger);
     } else if (key == "analytics.threads") {
       status = set_u64(cfg.enrichment_threads);
-    } else if (key == "analytics.shard_inbox") {
-      status = set_bool(cfg.enrich_shard_inbox);
     } else if (key == "topology.pin_cpus") {
       auto v = parse_cpu_list(key, value);
       if (!v) {
@@ -221,13 +227,13 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
     } else if (key == "meter.enabled") {
       status = set_bool(cfg.enable_link_meter);
     } else if (key == "meter.window_s") {
-      status = set_seconds(cfg.link_meter_window);
+      status = set_seconds(cfg.link_meter_window, /*positive=*/true);
     } else if (key == "detectors.synflood") {
       status = set_bool(cfg.enable_synflood);
     } else if (key == "detectors.synflood_min_syns") {
       status = set_u64(cfg.synflood.min_syns);
     } else if (key == "detectors.synflood_window_s") {
-      status = set_seconds(cfg.synflood.window);
+      status = set_seconds(cfg.synflood.window, /*positive=*/true);
     } else if (key == "detectors.conncount") {
       status = set_bool(cfg.enable_conncount);
     } else if (key == "detectors.ewma") {
@@ -242,9 +248,9 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
     } else if (key == "detectors.periodic") {
       status = set_bool(cfg.enable_periodic);
     } else if (key == "detectors.periodic_period_s") {
-      status = set_seconds(cfg.periodic.period);
+      status = set_seconds(cfg.periodic.period, /*positive=*/true);
     } else if (key == "detectors.periodic_bucket_s") {
-      status = set_seconds(cfg.periodic.bucket);
+      status = set_seconds(cfg.periodic.bucket, /*positive=*/true);
     } else if (key == "obs.enabled") {
       status = set_bool(cfg.metrics_enabled);
     } else if (key == "obs.interval_s") {

@@ -121,7 +121,6 @@ RuruPipeline::RuruPipeline(PipelineConfig config, const GeoDatabase& geo, const 
   enrichment_sub_ = bus_.subscribe(std::string(kLatencyTopic), config_.bus_hwm);
   enrichment_ = std::make_unique<EnrichmentPool>(enrichment_sub_, geo_, as_,
                                                  config_.enrichment_threads, geo6);
-  enrichment_->set_shard_inbox(config_.enrich_shard_inbox);
   register_metrics();
   wire_sinks();
 
@@ -692,6 +691,7 @@ PipelineSummary RuruPipeline::summary() const {
   s.workers.packets = snap.counter_or("worker.packets");
   s.workers.bytes = snap.counter_or("worker.bytes");
   s.workers.fast_path_skips = snap.counter_or("worker.fast_path_skips");
+  s.workers.inflow_consumed = snap.counter_or("worker.inflow_consumed");
   s.workers.batch_flushes = snap.counter_or("worker.batch_flushes");
   s.workers.batched_samples = snap.counter_or("worker.batched_samples");
   s.workers.parse_status[0] = snap.counter_or("worker.parse_ok");

@@ -104,10 +104,6 @@ struct PipelineConfig {
   /// flushed (0 = flush only on batch-full or an empty poll), so
   /// low-rate traffic is not delayed behind the batch size.
   Duration bus_batch_linger = Duration::from_ms(5);
-  /// Sharded enrichment inbox: each pool worker owns its slice of the
-  /// bus fan-in lanes (SPSC pops, per-flow ordering) instead of all
-  /// workers scanning every lane. See EnrichmentPool::set_shard_inbox.
-  bool enrich_shard_inbox = true;
 
   // --- anomaly modules ---
   bool enable_synflood = true;

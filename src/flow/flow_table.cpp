@@ -15,8 +15,8 @@ std::uint64_t FlowTable::fold_ip(const IpAddress& a) {
 }
 
 FlowTable::FlowTable(std::size_t capacity, Duration stale_after, std::size_t probe_window,
-                     ProbeKernel kernel, std::size_t ts_ring_entries)
-    : stale_after_(stale_after), simd_(resolve_simd(kernel)) {
+                     std::size_t ts_ring_entries)
+    : stale_after_(stale_after) {
   std::size_t cap = kFlowGroupWidth;  // at least one full group
   while (cap < capacity) cap <<= 1;
   ctrl_.assign(cap, kCtrlEmpty);
@@ -46,17 +46,18 @@ FlowTable::FlowTable(std::size_t capacity, Duration stale_after, std::size_t pro
 //  * only slots whose control tag matches are verified against the hot
 //    row (rss_hash first, then the canonical tuple); a tag hit that
 //    fails verification is a fingerprint false positive, counted in
-//    tag_mismatches (except in kContains, which is stat-free);
+//    tag_mismatches (kClassify hands the count back instead);
 //  * a verified match that went stale is a dead handshake: find and
-//    insert reclaim the slot (tombstone) and keep probing, contains
-//    skips it silently — the mutation-free variant of the same rule;
+//    insert reclaim the slot (tombstone) and keep probing, classify
+//    flags it and keeps probing — the mutation-free variant of the same
+//    rule;
 //  * kInsert remembers the first empty-or-tombstone slot in probe order
 //    as the insertion point;
 //  * every mode stops at the first group containing an empty byte:
 //    erase() and the sweep only ever create tombstones, and inserts
 //    claim the first reusable slot in probe order, so no live key can
 //    sit past an empty byte in its probe sequence.
-template <FlowTable::ProbeMode Mode, bool SkipHome>
+template <FlowTable::ProbeMode Mode>
 FlowTable::ProbeResult FlowTable::probe(const FiveTuple& key, std::uint32_t rss_hash,
                                         Timestamp now) {
   const std::uint64_t h = mix(rss_hash);
@@ -69,10 +70,10 @@ FlowTable::ProbeResult FlowTable::probe(const FiveTuple& key, std::uint32_t rss_
   // slot is cheaper to verify directly).  Anything else (occupied by
   // another key, stale entry) falls through to the full probe, which
   // repeats the slot inside its first group and applies the usual
-  // reclamation/stat accounting exactly once.  find() inlines this same
-  // check at its call sites (flow_table.hpp) and comes in with
-  // SkipHome, so the failed check is not repeated.
-  if constexpr (!SkipHome) {
+  // reclamation/stat accounting exactly once.  find() and classify()
+  // run this same check inline before they call in, so only inserts
+  // take it here.
+  if constexpr (Mode == ProbeMode::kInsert) {
     const std::size_t home = home_slot(h);
     if ((ctrl_[home] & 0x80u) == 0) {  // live slot
       const HotSlot& hs = hot_[home];
@@ -82,7 +83,7 @@ FlowTable::ProbeResult FlowTable::probe(const FiveTuple& key, std::uint32_t rss_
         r.groups = 1;
         return r;
       }
-    } else if constexpr (Mode == ProbeMode::kInsert) {
+    } else {
       // Prefer the exact home slot when it is reusable (over an earlier
       // tombstone elsewhere in the group): the next lookup of this key
       // then takes the short-circuit.  The slot is in the first probed
@@ -98,14 +99,14 @@ FlowTable::ProbeResult FlowTable::probe(const FiveTuple& key, std::uint32_t rss_
     const std::uint8_t* ctrl = ctrl_.data() + group * kFlowGroupWidth;
     if constexpr (Mode == ProbeMode::kInsert) {
       if (r.reuse == kNoSlot) {
-        const GroupMask reusable = group_reusable(simd_, ctrl);
+        const GroupMask reusable = group_reusable(ctrl);
         if (reusable != 0) {
           r.reuse = static_cast<Slot>(group * kFlowGroupWidth +
                                       static_cast<std::size_t>(std::countr_zero(reusable)));
         }
       }
     }
-    GroupMask match = group_match(simd_, ctrl, tag);
+    GroupMask match = group_match(ctrl, tag);
     while (match != 0) {
       const auto bit = static_cast<std::size_t>(std::countr_zero(match));
       match &= match - 1;
@@ -114,13 +115,12 @@ FlowTable::ProbeResult FlowTable::probe(const FiveTuple& key, std::uint32_t rss_
       if (hs.rss_hash != rss_hash || !(hs.key == key)) {
         if constexpr (Mode == ProbeMode::kClassify) {
           ++r.mismatches;  // replayed later via apply_*_stats, not counted here
-        } else if constexpr (Mode != ProbeMode::kContains) {
+        } else {
           ++stats_.tag_mismatches;
         }
         continue;
       }
       if (now.ns - last_seen_[slot] > stale_after_.ns) {
-        if constexpr (Mode == ProbeMode::kContains) continue;  // dead; report a miss
         if constexpr (Mode == ProbeMode::kClassify) {
           // find() would reclaim here: flag the divergence so the caller
           // re-runs the mutating lookup instead of trusting this walk.
@@ -137,26 +137,17 @@ FlowTable::ProbeResult FlowTable::probe(const FiveTuple& key, std::uint32_t rss_
       r.match = slot;
       return r;
     }
-    if (group_empty(simd_, ctrl) != 0) break;
+    if (group_empty(ctrl) != 0) break;
   }
   return r;
 }
 
 FlowTable::Slot FlowTable::find_slow(const FlowKey& key, std::uint32_t rss_hash, Timestamp now) {
-  const ProbeResult r = probe<ProbeMode::kFind, /*SkipHome=*/true>(key.canonical, rss_hash, now);
+  const ProbeResult r = probe<ProbeMode::kFind>(key.canonical, rss_hash, now);
   obs_.probe_groups.record(static_cast<std::int64_t>(r.groups));
   if (r.match == kNoSlot) return kNoSlot;
   ++stats_.hits;
   return r.match;
-}
-
-bool FlowTable::contains(const FlowKey& key, std::uint32_t rss_hash, Timestamp now) const {
-  // kContains performs no mutation — no reclamation, no stats, no
-  // histogram records (enforced by the if constexpr branches in the
-  // core) — so probing through a const_cast is sound and the method
-  // stays const for read-only callers.
-  auto& self = const_cast<FlowTable&>(*this);
-  return self.probe<ProbeMode::kContains>(key.canonical, rss_hash, now).match != kNoSlot;
 }
 
 FlowTable::FlowClassify FlowTable::classify(const FlowKey& key, std::uint32_t rss_hash,
@@ -182,20 +173,19 @@ FlowTable::FlowClassify FlowTable::classify(const FlowKey& key, std::uint32_t rs
       return c;
     }
   }
-  // kClassify mutates nothing (same const_cast soundness argument as
-  // contains()); SkipHome matches find_slow(), so `groups` counts what
+  // kClassify performs no mutation — no reclamation, no stats, no
+  // histogram records (enforced by the if constexpr branches in the
+  // core) — so probing through a const_cast is sound.  The walk skips
+  // the home check like find_slow(), so `groups` counts what
   // find_slow() would record.
   auto& self = const_cast<FlowTable&>(*this);
-  const ProbeResult r =
-      self.probe<ProbeMode::kClassify, /*SkipHome=*/true>(key.canonical, rss_hash, now);
+  const ProbeResult r = self.probe<ProbeMode::kClassify>(key.canonical, rss_hash, now);
   c.groups = r.groups;
   c.tag_mismatches = r.mismatches;
   c.stale_seen = r.stale_seen;
   if (r.match != kNoSlot) {
     c.slot = r.match;
     c.kind = ClassifyKind::kLive;
-  } else if (r.stale_seen) {
-    c.kind = ClassifyKind::kStale;
   }
   return c;
 }
@@ -271,7 +261,7 @@ FlowTable::Slot FlowTable::reclaim_window(std::uint32_t rss_hash, Timestamp now)
   std::size_t group = home_group(mix(rss_hash));
   Slot first = kNoSlot;
   for (std::size_t gi = 0; gi < window_groups_; ++gi, group = (group + 1) & group_mask_) {
-    GroupMask full = group_full(simd_, ctrl_.data() + group * kFlowGroupWidth);
+    GroupMask full = group_full(ctrl_.data() + group * kFlowGroupWidth);
     while (full != 0) {
       const auto bit = static_cast<std::size_t>(std::countr_zero(full));
       full &= full - 1;
@@ -300,7 +290,7 @@ std::size_t FlowTable::sweep(Timestamp now, std::size_t max_groups) {
   for (std::size_t gi = 0; gi < max_groups; ++gi) {
     const std::size_t group = sweep_cursor_;
     sweep_cursor_ = (sweep_cursor_ + 1) & group_mask_;
-    GroupMask full = group_full(simd_, ctrl_.data() + group * kFlowGroupWidth);
+    GroupMask full = group_full(ctrl_.data() + group * kFlowGroupWidth);
     obs_.group_occupancy.record(std::popcount(full));
     while (full != 0) {
       const auto bit = static_cast<std::size_t>(std::countr_zero(full));

@@ -124,14 +124,13 @@ class FlowTable {
   /// `capacity` rounded up to a power of two (minimum one group).
   /// `stale_after`: entries not touched for this long may be reclaimed.
   /// `probe_window`: slots probed per lookup, rounded up to whole groups
-  /// and clamped to capacity.  `kernel`: force the scalar probe path
-  /// (tests, oracles) or let the build pick.  `ts_ring_entries`: per-
-  /// flow, per-direction timestamp ring size for in-flow RTT — rounded
-  /// up to a power of two; 0 (the default) allocates no ring storage
-  /// and disables the ts_* accessors.
+  /// and clamped to capacity.  `ts_ring_entries`: per-flow, per-
+  /// direction timestamp ring size for in-flow RTT — rounded up to a
+  /// power of two; 0 (the default) allocates no ring storage and
+  /// disables the ts_* accessors.
   explicit FlowTable(std::size_t capacity, Duration stale_after = Duration::from_sec(30.0),
                      std::size_t probe_window = kDefaultProbeWindow,
-                     ProbeKernel kernel = ProbeKernel::kAuto, std::size_t ts_ring_entries = 0);
+                     std::size_t ts_ring_entries = 0);
 
   /// Finds the live entry for `key`, or kNoSlot.  A verified match that
   /// went stale is reclaimed on the way (it is a dead handshake — do not
@@ -159,18 +158,10 @@ class FlowTable {
     return find_slow(key, rss_hash, now);
   }
 
-  /// Read-only probe: true when a live (non-stale) entry for `key`
-  /// exists.  Unlike find() it mutates nothing — no hit counting, no
-  /// stale-slot reclamation, no histogram records — so the capture fast
-  /// path can ask "is this flow tracked?" without perturbing table state
-  /// or stats (and the metrics snapshot thread can race it safely).
-  [[nodiscard]] bool contains(const FlowKey& key, std::uint32_t rss_hash, Timestamp now) const;
-
   /// What a mutation-free classify() walk concluded about a key.
   enum class ClassifyKind : std::uint8_t {
-    kMiss,   ///< no verified match anywhere in the window
-    kLive,   ///< live (non-stale) entry at `slot`
-    kStale,  ///< only verified-but-stale matches (find() would reclaim)
+    kMiss,  ///< no live entry in the window (see FlowClassify::stale_seen)
+    kLive,  ///< live (non-stale) entry at `slot`
   };
 
   /// Provisional verdict of classify()/probe_batch(): everything find()
@@ -191,9 +182,9 @@ class FlowTable {
   /// Mutation-free twin of find(): same home-slot fast path, same probe
   /// walk, but nothing is reclaimed and nothing is counted — the walk's
   /// would-be bookkeeping is returned in the FlowClassify instead.  A
-  /// kLive verdict is exactly "find() would return this slot"; kStale
-  /// means find() would additionally reclaim on the way, so the caller
-  /// must re-run the mutating lookup to stay bit-identical.
+  /// kLive verdict is exactly "find() would return this slot";
+  /// `stale_seen` means find() would additionally reclaim on the way, so
+  /// the caller must re-run the mutating lookup to stay bit-identical.
   [[nodiscard]] FlowClassify classify(const FlowKey& key, std::uint32_t rss_hash,
                                       Timestamp now) const;
 
@@ -274,12 +265,9 @@ class FlowTable {
   [[nodiscard]] FlowData& data(Slot slot) { return cold_[slot]; }
   [[nodiscard]] const FlowData& data(Slot slot) const { return cold_[slot]; }
   [[nodiscard]] const FiveTuple& canonical(Slot slot) const { return hot_[slot].key; }
-  [[nodiscard]] Timestamp last_seen(Slot slot) const { return Timestamp{last_seen_[slot]}; }
   void touch(Slot slot, Timestamp now) { last_seen_[slot] = now.ns; }
 
-  // --- in-flow timestamp rings (valid only when ts_enabled()) ---
-  [[nodiscard]] bool ts_enabled() const { return ts_entries_ != 0; }
-  [[nodiscard]] std::size_t ts_ring_entries() const { return ts_entries_; }
+  // --- in-flow timestamp rings (valid only when built with ts_ring_entries) ---
   /// `dir`: 0 = canonical direction's notes, 1 = reverse's.  SoA lanes:
   /// both directions' vals sit contiguously per slot (one cache line for
   /// ring sizes <= 8), times likewise.
@@ -302,7 +290,6 @@ class FlowTable {
   [[nodiscard]] std::size_t capacity() const { return ctrl_.size(); }
   [[nodiscard]] std::size_t size() const { return live_.load(); }
   [[nodiscard]] std::size_t probe_window() const { return window_groups_ * kFlowGroupWidth; }
-  [[nodiscard]] bool simd_active() const { return simd_; }
   [[nodiscard]] const FlowTableStats& stats() const { return stats_; }
 
   /// Install before the table is used (not thread-safe afterwards).
@@ -317,11 +304,11 @@ class FlowTable {
     std::uint32_t rss_hash = 0;
   };
 
-  /// kClassify is kContains with receipts: still mutation- and stat-free,
-  /// but the walk's would-be bookkeeping (fingerprint false positives,
-  /// verified-but-stale encounters) is returned in the ProbeResult so
-  /// the caller can replay or invalidate it later.
-  enum class ProbeMode { kFind, kContains, kInsert, kClassify };
+  /// kClassify is mutation- and stat-free: the walk's would-be
+  /// bookkeeping (fingerprint false positives, verified-but-stale
+  /// encounters) is returned in the ProbeResult so the caller can replay
+  /// or invalidate it later.
+  enum class ProbeMode { kFind, kInsert, kClassify };
 
   struct ProbeResult {
     Slot match = kNoSlot;
@@ -369,9 +356,7 @@ class FlowTable {
     return static_cast<std::size_t>(h) & slot_mask_;
   }
 
-  /// SkipHome: the caller already ran (and failed) the home-slot
-  /// short-circuit — find()'s inline fast path — so don't repeat it.
-  template <ProbeMode Mode, bool SkipHome = false>
+  template <ProbeMode Mode>
   ProbeResult probe(const FiveTuple& key, std::uint32_t rss_hash, Timestamp now);
 
   /// Full probe behind find()'s inline home-slot fast path.
@@ -403,7 +388,6 @@ class FlowTable {
   std::size_t window_groups_;          ///< probe window in groups
   std::size_t sweep_cursor_ = 0;       ///< next group sweep() examines
   Duration stale_after_;
-  bool simd_;
   StatCell live_ = 0;  ///< occupancy gauge, snapshot-thread readable
   FlowTableStats stats_;
   FlowTableObs obs_;

@@ -9,10 +9,12 @@
 // the common miss costs a couple of vector compares instead of a walk
 // over 16 eighty-byte records.
 //
-// Every kernel has a scalar twin with identical semantics.  The scalar
-// versions are not a fallback afterthought: the table can be forced onto
-// them at runtime (ProbeKernel::kScalar) and the test suite runs every
-// workload through both, asserting bit-identical masks and behaviour.
+// Every kernel has a scalar twin with identical semantics.  The build
+// picks one: the dispatch names at the bottom are the SIMD kernels when
+// the target has SSE2 or NEON and the scalar twins otherwise.  The
+// scalar twins are always compiled — they are the path on non-SIMD
+// targets and the reference the test suite compares every SIMD kernel
+// against.
 
 #include <cstddef>
 #include <cstdint>
@@ -40,9 +42,6 @@ inline constexpr std::uint8_t kCtrlTombstone = 0xFE;  ///< erased or reclaimed s
 
 /// One bit per group position (bit i == control byte i).
 using GroupMask = std::uint32_t;
-
-/// Which SIMD path (if any) this build carries.
-inline constexpr bool kHaveGroupSimd = RURU_FLOW_GROUP_SIMD != 0;
 
 // --- scalar kernels (always compiled, always tested) -------------------
 
@@ -169,63 +168,22 @@ namespace detail {
 #endif  // SIMD flavours
 
 // --- dispatch ----------------------------------------------------------
+//
+// The kernel is a build-time choice: each dispatch name is the SIMD
+// kernel when the target has one and the scalar twin otherwise.
 
-/// Which kernel a table instance runs on.  kAuto picks SIMD when the
-/// build has it; kScalar forces the reference path (tests, benches,
-/// odd targets); kSimd asks for SIMD and falls back to scalar when the
-/// build has none.
-enum class ProbeKernel : std::uint8_t { kAuto, kSimd, kScalar };
-
-[[nodiscard]] inline bool resolve_simd(ProbeKernel k) {
-  if (!kHaveGroupSimd) return false;
-  return k != ProbeKernel::kScalar;
-}
-
-[[nodiscard]] inline GroupMask group_match(bool simd, const std::uint8_t* group,
-                                           std::uint8_t tag) {
 #if RURU_FLOW_GROUP_SIMD
-  if (simd) return group_match_simd(group, tag);
+inline constexpr auto& group_match = group_match_simd;
+inline constexpr auto& group_empty = group_empty_simd;
+inline constexpr auto& group_full = group_full_simd;
+inline constexpr auto& group_reusable = group_reusable_simd;
+inline constexpr auto& group_masked_eq = group_masked_eq_simd;
 #else
-  (void)simd;
+inline constexpr auto& group_match = group_match_scalar;
+inline constexpr auto& group_empty = group_empty_scalar;
+inline constexpr auto& group_full = group_full_scalar;
+inline constexpr auto& group_reusable = group_reusable_scalar;
+inline constexpr auto& group_masked_eq = group_masked_eq_scalar;
 #endif
-  return group_match_scalar(group, tag);
-}
-
-[[nodiscard]] inline GroupMask group_empty(bool simd, const std::uint8_t* group) {
-#if RURU_FLOW_GROUP_SIMD
-  if (simd) return group_empty_simd(group);
-#else
-  (void)simd;
-#endif
-  return group_empty_scalar(group);
-}
-
-[[nodiscard]] inline GroupMask group_full(bool simd, const std::uint8_t* group) {
-#if RURU_FLOW_GROUP_SIMD
-  if (simd) return group_full_simd(group);
-#else
-  (void)simd;
-#endif
-  return group_full_scalar(group);
-}
-
-[[nodiscard]] inline GroupMask group_reusable(bool simd, const std::uint8_t* group) {
-#if RURU_FLOW_GROUP_SIMD
-  if (simd) return group_reusable_simd(group);
-#else
-  (void)simd;
-#endif
-  return group_reusable_scalar(group);
-}
-
-[[nodiscard]] inline GroupMask group_masked_eq(bool simd, const std::uint8_t* group,
-                                               std::uint8_t mask, std::uint8_t value) {
-#if RURU_FLOW_GROUP_SIMD
-  if (simd) return group_masked_eq_simd(group, mask, value);
-#else
-  (void)simd;
-#endif
-  return group_masked_eq_scalar(group, mask, value);
-}
 
 }  // namespace ruru

@@ -169,42 +169,6 @@ HandshakeTracker::InflowLookup HandshakeTracker::inflow_lookup(const FlowKey& ke
   return r;
 }
 
-HandshakeTracker::InflowLookup HandshakeTracker::inflow_resolve(const FlowTable::FlowClassify& c,
-                                                                const FlowKey& key,
-                                                                std::uint32_t rss_hash,
-                                                                Timestamp now, bool& reprobed) {
-  reprobed = false;
-  if (c.stale_seen) {
-    // The provisional walk passed a verified-but-stale entry find()
-    // reclaims: rerun the mutating lookup so state and stats land
-    // exactly where the scalar loop would put them.  Only an actual
-    // reclamation invalidates the rest of the burst's verdicts (an
-    // entry since freshened by an earlier lane's touch does not).
-    const std::uint64_t before = table_.stats().evictions_stale.load();
-    InflowLookup r = inflow_lookup(key, rss_hash, now);
-    reprobed = table_.stats().evictions_stale.load() != before;
-    return r;
-  }
-  InflowLookup r;
-  if (c.kind != FlowTable::ClassifyKind::kLive) {
-    table_.apply_miss_stats(c);
-    return r;  // kUntracked
-  }
-  table_.apply_hit_stats(c);
-  r.slot = c.slot;
-  if (table_.data(c.slot).state != HandshakeState::kEstablished) {
-    // Mid-handshake: the state machine needs the full parse (no touch —
-    // inflow_lookup() leaves mid-handshake entries untouched too).
-    r.verdict = InflowVerdict::kNeedParse;
-    return r;
-  }
-  table_.touch(c.slot, now);
-  // No ts_prefetch here: probe_batch's resolve phase already warmed the
-  // rings (vals, times, state) a full stage earlier.
-  r.verdict = InflowVerdict::kEstablished;
-  return r;
-}
-
 void HandshakeTracker::inflow_established(FlowTable::Slot slot, bool forward,
                                           const FastTsProbe& ts, Timestamp rx_time,
                                           std::uint32_t rss_hash, std::uint16_t queue_id,

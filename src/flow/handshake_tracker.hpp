@@ -69,8 +69,8 @@ class HandshakeTracker {
   explicit HandshakeTracker(std::size_t table_capacity,
                             Duration stale_after = Duration::from_sec(30.0),
                             std::size_t probe_window = FlowTable::kDefaultProbeWindow,
-                            ProbeKernel kernel = ProbeKernel::kAuto, InflowConfig inflow = {})
-      : table_(table_capacity, stale_after, probe_window, kernel,
+                            InflowConfig inflow = {})
+      : table_(table_capacity, stale_after, probe_window,
                inflow.enabled ? inflow.ring_entries : 0),
         inflow_(inflow) {}
 
@@ -86,13 +86,15 @@ class HandshakeTracker {
   void process(const PacketView& pkt, Timestamp rx_time, std::uint32_t rss_hash,
                std::uint16_t queue_id, std::vector<LatencySample>& out);
 
-  /// --- fast-path in-flow kernel (worker pass 2) --------------------
-  /// The worker probes established-flow data segments without a full
-  /// parse: inflow_lookup() classifies the flow, then (for established
-  /// flows) inflow_established() runs the timestamp kernel on the
-  /// fixed-offset option probe.  Split in two so the caller can extract
-  /// options between the lookup and the kernel, behind the ring
-  /// prefetch the lookup issues.
+  /// --- fast-path lookup (worker pass 2, both tracking modes) --------
+  /// The worker resolves every pure data segment without a full parse:
+  /// inflow_lookup() classifies the flow, then (for established flows)
+  /// inflow_established() runs the timestamp kernel on the fixed-offset
+  /// option probe.  With the in-flow kernel off, a flow is erased when
+  /// its handshake completes, so the verdict is only ever kUntracked or
+  /// kNeedParse.  Split in two so the caller can extract options
+  /// between the lookup and the kernel, behind the ring prefetch the
+  /// lookup issues.
   enum class InflowVerdict : std::uint8_t {
     kUntracked,    ///< no live slot: skip the packet entirely
     kNeedParse,    ///< tracked but mid-handshake: full parse required
@@ -122,10 +124,43 @@ class HandshakeTracker {
   /// match (`c.stale_seen`) the real lookup runs instead — it reclaims
   /// and counts exactly as the scalar loop would — and `reprobed`
   /// reports whether that lookup actually mutated the table (in which
-  /// case later provisional verdicts in the burst are void).
+  /// case later provisional verdicts in the burst are void).  Inline
+  /// because every candidate lane of the vector loop, in both tracking
+  /// modes, resolves here (out of line it cost the skip-heavy mix ~10%).
   [[nodiscard]] InflowLookup inflow_resolve(const FlowTable::FlowClassify& c, const FlowKey& key,
                                             std::uint32_t rss_hash, Timestamp now,
-                                            bool& reprobed);
+                                            bool& reprobed) {
+    reprobed = false;
+    if (c.stale_seen) [[unlikely]] {
+      // The provisional walk passed a verified-but-stale entry find()
+      // reclaims: rerun the mutating lookup so state and stats land
+      // exactly where the scalar loop would put them.  Only an actual
+      // reclamation invalidates the rest of the burst's verdicts (an
+      // entry since freshened by an earlier lane's touch does not).
+      const std::uint64_t before = table_.stats().evictions_stale.load();
+      InflowLookup r = inflow_lookup(key, rss_hash, now);
+      reprobed = table_.stats().evictions_stale.load() != before;
+      return r;
+    }
+    InflowLookup r;
+    if (c.kind != FlowTable::ClassifyKind::kLive) {
+      table_.apply_miss_stats(c);
+      return r;  // kUntracked
+    }
+    table_.apply_hit_stats(c);
+    r.slot = c.slot;
+    if (table_.data(c.slot).state != HandshakeState::kEstablished) {
+      // Mid-handshake: the state machine needs the full parse (no touch —
+      // inflow_lookup() leaves mid-handshake entries untouched too).
+      r.verdict = InflowVerdict::kNeedParse;
+      return r;
+    }
+    table_.touch(c.slot, now);
+    // No ts_prefetch here: probe_batch's resolve phase already warmed the
+    // rings (vals, times, state) a full stage earlier.
+    r.verdict = InflowVerdict::kEstablished;
+    return r;
+  }
   /// Runs the timestamp kernel for an established slot returned by
   /// inflow_lookup().  `forward` is the packet's FlowKey::forward.
   void inflow_established(FlowTable::Slot slot, bool forward, const FastTsProbe& ts,
@@ -141,18 +176,9 @@ class HandshakeTracker {
   void process_burst(std::span<const TrackedPacket> pkts, std::uint16_t queue_id,
                      std::vector<LatencySample>& out);
 
-  /// Read-only: is `key` a live tracked handshake right now? Used by the
-  /// worker fast path to skip full parsing of data segments on flows the
-  /// tracker has no interest in; mutates no table state or stats.
-  [[nodiscard]] bool tracking(const FlowKey& key, std::uint32_t rss_hash, Timestamp now) const {
-    return table_.contains(key, rss_hash, now);
-  }
-
   /// Warm the flow-table group `rss_hash` probes into — issue ahead of
-  /// the process()/tracking() call that will need it.
+  /// the process()/inflow_lookup() call that will need it.
   void prefetch(std::uint32_t rss_hash) const { table_.prefetch(rss_hash); }
-  /// Deeper warm-up for batched candidate lanes (FlowTable::prefetch_probe).
-  void prefetch_probe(std::uint32_t rss_hash) const { table_.prefetch_probe(rss_hash); }
 
   /// Advance the table's incremental staleness sweep (a few groups per
   /// RX burst). Returns entries reclaimed.
@@ -166,7 +192,6 @@ class HandshakeTracker {
   [[nodiscard]] const TrackerStats& stats() const { return stats_; }
   [[nodiscard]] const InflowStats& inflow_stats() const { return inflow_stats_; }
   [[nodiscard]] const FlowTable& table() const { return table_; }
-  [[nodiscard]] bool inflow_enabled() const { return inflow_.enabled; }
 
  private:
   /// What process_core() did with the packet, for the in-flow layer on

@@ -11,10 +11,8 @@ QueueWorker::QueueWorker(SimNic& nic, std::uint16_t queue_id, std::size_t flow_t
                          InflowConfig inflow)
     : nic_(nic),
       queue_id_(queue_id),
-      tracker_(flow_table_capacity, stale_after, probe_window, ProbeKernel::kAuto, inflow),
-      sink_(std::move(sink)),
-      inflow_(inflow.enabled),
-      simd_(resolve_simd(ProbeKernel::kAuto)) {
+      tracker_(flow_table_capacity, stale_after, probe_window, inflow),
+      sink_(std::move(sink)) {
   items_.reserve(kBurst);
   // A packet can yield up to two samples with the in-flow kernel on
   // (handshake completion + its echo match): size the staging buffer so
@@ -157,7 +155,7 @@ std::size_t QueueWorker::poll_once_scalar() {
 
   // Pass 2: resolve in arrival order.  Accumulated parsed packets are
   // run through the tracker in batches; before each fast-path candidate
-  // is judged, the batch is flushed so tracking() sees current state.
+  // is judged, the batch is flushed so the lookup sees current state.
   for (std::size_t i = 0; i < n; ++i) {
     Pending& p = pending_[i];
     const Mbuf& m = *burst[p.mbuf];
@@ -167,31 +165,26 @@ std::size_t QueueWorker::poll_once_scalar() {
     }
     if (p.kind == Pending::Kind::kCandidate) {
       flush_items();
-      if (inflow_) {
-        // In-flow kernel: one table probe classifies the candidate.
-        // Established flows run the timestamp match right here — option
-        // extraction happens behind the ring prefetch the lookup issued
-        // — and never reach parse_packet().
-        const auto look = tracker_.inflow_lookup(p.key, m.rss_hash, m.timestamp);
-        if (look.verdict == HandshakeTracker::InflowVerdict::kUntracked) {
-          ++stats_.fast_path_skips;
-          continue;
-        }
-        if (look.verdict == HandshakeTracker::InflowVerdict::kEstablished) {
-          const FastTsProbe tsp = probe_tcp_timestamps(m.bytes(), p.l4_offset, p.probe_v4);
-          if (tsp.valid) [[likely]] {
-            samples_.clear();
-            tracker_.inflow_established(look.slot, p.key.forward, tsp, m.timestamp, m.rss_hash,
-                                        queue_id_, samples_);
-            deliver_staged();
-            ++stats_.inflow_consumed;
-            continue;
-          }
-          // Inconsistent length fields: let parse_packet() classify it.
-        }
-      } else if (!tracker_.tracking(p.key, m.rss_hash, m.timestamp)) {
+      // One table probe classifies the candidate.  Established flows
+      // (in-flow kernel on) run the timestamp match right here — option
+      // extraction happens behind the ring prefetch the lookup issued —
+      // and never reach parse_packet().
+      const auto look = tracker_.inflow_lookup(p.key, m.rss_hash, m.timestamp);
+      if (look.verdict == HandshakeTracker::InflowVerdict::kUntracked) {
         ++stats_.fast_path_skips;
         continue;
+      }
+      if (look.verdict == HandshakeTracker::InflowVerdict::kEstablished) {
+        const FastTsProbe tsp = probe_tcp_timestamps(m.bytes(), p.l4_offset, p.probe_v4);
+        if (tsp.valid) [[likely]] {
+          samples_.clear();
+          tracker_.inflow_established(look.slot, p.key.forward, tsp, m.timestamp, m.rss_hash,
+                                      queue_id_, samples_);
+          deliver_staged();
+          ++stats_.inflow_consumed;
+          continue;
+        }
+        // Inconsistent length fields: let parse_packet() classify it.
       }
       // Tracked flow after all: take the full parse like the slow path.
       p.status = parse_packet(m.bytes(), p.view);
@@ -284,7 +277,7 @@ std::size_t QueueWorker::poll_once_vector() {
     std::uint64_t cand_mask = 0;
     for (std::size_t g = 0; g < BurstDesc::kLanes; g += kFlowGroupWidth) {
       cand_mask |= static_cast<std::uint64_t>(
-                       group_masked_eq(simd_, desc_.flags.data() + g, kClassMask, TcpFlags::kAck))
+                       group_masked_eq(desc_.flags.data() + g, kClassMask, TcpFlags::kAck))
                    << g;
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -351,108 +344,66 @@ std::size_t QueueWorker::poll_once_vector() {
     }
 
     const std::size_t run_start = i;
-    if (inflow_) {
-      // In-flow kernel samples accumulate across the run in samples_ and
-      // deliver at the run boundary (or before a mid-run flush) — the
-      // per-sample order matches the scalar loop exactly.
-      samples_.clear();
-      for (; i < n && desc_.cls[i] == BurstDesc::kCandidate; ++i) {
-        const Mbuf& m = *burst[i];
-        if (tracing && m.trace_id != 0) {
-          trace_.instant(obs::TraceStage::kWorker, m.trace_id, obs::trace_now_ns(),
-                         static_cast<std::uint32_t>(i), queue_id_);
-        }
-        if (!items_.empty()) {
-          // A lane of this run staged a full parse: deliver the kernel
-          // samples staged so far, then flush — the tracker may complete
-          // a handshake whose data segment is the very next lane.
-          deliver_staged();
-          samples_.clear();
-          flush_items();
-          samples_.clear();
-          revalidate = true;
-        }
-        HandshakeTracker::InflowLookup look;
-        if (revalidate) {
-          look = tracker_.inflow_lookup(desc_.key[i], m.rss_hash, m.timestamp);
-          ++stats_.lane_revalidated;
-        } else {
-          bool reprobed = false;
-          look = tracker_.inflow_resolve(desc_.verdict[i], desc_.key[i], m.rss_hash, m.timestamp,
-                                         reprobed);
-          if (desc_.verdict[i].stale_seen) ++stats_.classify_reprobes;
-          if (reprobed) revalidate = true;
-        }
-        if (look.verdict == HandshakeTracker::InflowVerdict::kUntracked) {
-          ++stats_.fast_path_skips;
-          ++stats_.lane_skip;
+    // In-flow kernel samples accumulate across the run in samples_ and
+    // deliver at the run boundary (or before a mid-run flush) — the
+    // per-sample order matches the scalar loop exactly.
+    samples_.clear();
+    for (; i < n && desc_.cls[i] == BurstDesc::kCandidate; ++i) {
+      const Mbuf& m = *burst[i];
+      if (tracing && m.trace_id != 0) {
+        trace_.instant(obs::TraceStage::kWorker, m.trace_id, obs::trace_now_ns(),
+                       static_cast<std::uint32_t>(i), queue_id_);
+      }
+      if (!items_.empty()) {
+        // A lane of this run staged a full parse: deliver the kernel
+        // samples staged so far, then flush — the tracker may complete
+        // a handshake whose data segment is the very next lane.
+        deliver_staged();
+        samples_.clear();
+        flush_items();
+        samples_.clear();
+        revalidate = true;
+      }
+      HandshakeTracker::InflowLookup look;
+      if (revalidate) {
+        look = tracker_.inflow_lookup(desc_.key[i], m.rss_hash, m.timestamp);
+        ++stats_.lane_revalidated;
+      } else {
+        bool reprobed = false;
+        look = tracker_.inflow_resolve(desc_.verdict[i], desc_.key[i], m.rss_hash, m.timestamp,
+                                       reprobed);
+        if (desc_.verdict[i].stale_seen) ++stats_.classify_reprobes;
+        if (reprobed) revalidate = true;
+      }
+      if (look.verdict == HandshakeTracker::InflowVerdict::kUntracked) {
+        ++stats_.fast_path_skips;
+        ++stats_.lane_skip;
+        continue;
+      }
+      if (look.verdict == HandshakeTracker::InflowVerdict::kEstablished) {
+        const FastTsProbe tsp =
+            probe_tcp_timestamps(desc_.frame[i], desc_.l4_offset[i], desc_.v4[i] != 0);
+        if (tsp.valid) [[likely]] {
+          tracker_.inflow_established(look.slot, desc_.key[i].forward, tsp, m.timestamp,
+                                      m.rss_hash, queue_id_, samples_);
+          ++stats_.inflow_consumed;
+          ++stats_.lane_established;
           continue;
         }
-        if (look.verdict == HandshakeTracker::InflowVerdict::kEstablished) {
-          const FastTsProbe tsp =
-              probe_tcp_timestamps(desc_.frame[i], desc_.l4_offset[i], desc_.v4[i] != 0);
-          if (tsp.valid) [[likely]] {
-            tracker_.inflow_established(look.slot, desc_.key[i].forward, tsp, m.timestamp,
-                                        m.rss_hash, queue_id_, samples_);
-            ++stats_.inflow_consumed;
-            ++stats_.lane_established;
-            continue;
-          }
-          // Inconsistent length fields: let parse_packet() classify it.
-        }
-        ++stats_.lane_need_parse;
-        Pending& p = pending_[i];
-        p.status = parse_packet(desc_.frame[i], p.view);
-        ++stats_.parse_status[static_cast<std::size_t>(p.status)];
-        if (p.status != ParseStatus::kOk) continue;
-        if (syn_sink_ && p.view.tcp.is_syn_only() && p.view.is_v4) {
-          syn_sink_(m.timestamp, p.view.ip4.dst);
-        }
-        items_.push_back(TrackedPacket{p.view, m.timestamp, m.rss_hash});
+        // Inconsistent length fields: let parse_packet() classify it.
       }
-      deliver_staged();
-      samples_.clear();
-    } else {
-      for (; i < n && desc_.cls[i] == BurstDesc::kCandidate; ++i) {
-        const Mbuf& m = *burst[i];
-        if (tracing && m.trace_id != 0) {
-          trace_.instant(obs::TraceStage::kWorker, m.trace_id, obs::trace_now_ns(),
-                         static_cast<std::uint32_t>(i), queue_id_);
-        }
-        if (!items_.empty()) {
-          flush_items();
-          revalidate = true;
-        }
-        bool tracked;
-        const FlowTable::FlowClassify& c = desc_.verdict[i];
-        if (revalidate || c.stale_seen) {
-          // tracking() (contains) is mutation- and stat-free, so this
-          // reprobe never voids later lanes' verdicts.
-          tracked = tracker_.tracking(desc_.key[i], m.rss_hash, m.timestamp);
-          if (revalidate) {
-            ++stats_.lane_revalidated;
-          } else {
-            ++stats_.classify_reprobes;
-          }
-        } else {
-          tracked = c.kind == FlowTable::ClassifyKind::kLive;
-        }
-        if (!tracked) {
-          ++stats_.fast_path_skips;
-          ++stats_.lane_skip;
-          continue;
-        }
-        ++stats_.lane_need_parse;
-        Pending& p = pending_[i];
-        p.status = parse_packet(desc_.frame[i], p.view);
-        ++stats_.parse_status[static_cast<std::size_t>(p.status)];
-        if (p.status != ParseStatus::kOk) continue;
-        if (syn_sink_ && p.view.tcp.is_syn_only() && p.view.is_v4) {
-          syn_sink_(m.timestamp, p.view.ip4.dst);
-        }
-        items_.push_back(TrackedPacket{p.view, m.timestamp, m.rss_hash});
+      ++stats_.lane_need_parse;
+      Pending& p = pending_[i];
+      p.status = parse_packet(desc_.frame[i], p.view);
+      ++stats_.parse_status[static_cast<std::size_t>(p.status)];
+      if (p.status != ParseStatus::kOk) continue;
+      if (syn_sink_ && p.view.tcp.is_syn_only() && p.view.is_v4) {
+        syn_sink_(m.timestamp, p.view.ip4.dst);
       }
+      items_.push_back(TrackedPacket{p.view, m.timestamp, m.rss_hash});
     }
+    deliver_staged();
+    samples_.clear();
     obs_.candidate_run_len.record(static_cast<std::int64_t>(i - run_start));
   }
   flush_items();

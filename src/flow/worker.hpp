@@ -23,7 +23,11 @@
 //     tracker items; candidate lanes consume their provisional verdict
 //     (replaying the stats the mutating lookup would have counted), and
 //     flush_items() runs once per *run* of consecutive candidate lanes
-//     instead of once per candidate.  The flush-before-skip-decision
+//     instead of once per candidate.  Both tracking modes resolve
+//     candidates through the same lookup (HandshakeTracker::
+//     inflow_lookup / inflow_resolve): with the in-flow kernel off a
+//     flow leaves the table when its handshake completes, so a verdict
+//     is only ever "skip" or "parse".  The flush-before-skip-decision
 //     rule is preserved at lane granularity: a candidate following any
 //     staged item still flushes first, so a handshake completing within
 //     the burst is visible to the very next data segment; any flush (or
@@ -254,8 +258,6 @@ class QueueWorker {
   SynSink syn_sink_;
   BatchSink batch_sink_;
   bool fast_path_ = true;
-  bool inflow_ = false;  ///< cached InflowConfig::enabled
-  bool simd_ = false;    ///< group_masked_eq kernel choice (mirrors the table's)
   LoopKernel loop_kernel_ = LoopKernel::kVector;
   std::size_t prefetch_depth_ = 1;
   std::size_t batch_size_ = 1;

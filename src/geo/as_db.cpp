@@ -1,7 +1,5 @@
 #include "geo/as_db.hpp"
 
-#include <algorithm>
-
 #include "geo/db_io.hpp"
 
 namespace ruru {
@@ -15,46 +13,25 @@ constexpr std::size_t kMinRecordBytes = 4 + 4 + 4 + 4;
 }  // namespace
 
 Result<AsDatabase> AsDatabase::build(std::vector<AsRecord> records) {
-  std::sort(records.begin(), records.end(),
-            [](const AsRecord& a, const AsRecord& b) { return a.range_start < b.range_start; });
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (records[i].range_end < records[i].range_start) {
-      return make_error("asdb: record " + std::to_string(i) + " has end < start");
-    }
-    if (i > 0 && records[i].range_start <= records[i - 1].range_end) {
-      return make_error("asdb: overlapping ranges at index " + std::to_string(i));
-    }
-  }
+  auto index = Ipv4RangeIndex::build(records, "asdb");
+  if (!index) return make_error(index.error());
   AsDatabase db;
+  db.index_ = std::move(index).value();
   const std::size_t n = records.size();
-  db.starts_.reserve(n);
-  db.ends_.reserve(n);
   db.asn_.reserve(n);
   db.org_id_.reserve(n);
   StringInterner& names = geo_names();
   for (const AsRecord& r : records) {
-    db.starts_.push_back(r.range_start);
-    db.ends_.push_back(r.range_end);
     db.asn_.push_back(r.asn);
     db.org_id_.push_back(names.intern(r.organization));
   }
-  db.build_radix();
   return db;
-}
-
-void AsDatabase::build_radix() {
-  radix_.assign(65537, 0);
-  std::size_t row = 0;
-  for (std::size_t h = 0; h <= 65536; ++h) {
-    while (row < starts_.size() && (starts_[row] >> 16) < h) ++row;
-    radix_[h] = static_cast<std::uint32_t>(row);
-  }
 }
 
 AsRecord AsDatabase::record(std::size_t i) const {
   AsRecord r;
-  r.range_start = starts_[i];
-  r.range_end = ends_[i];
+  r.range_start = index_.start(i);
+  r.range_end = index_.end(i);
   r.asn = asn_[i];
   r.organization = std::string(geo_names().view(org_id_[i]));
   return r;
@@ -66,8 +43,8 @@ Status AsDatabase::save(const std::string& path) const {
   geo_io::put_u32(out, kMagic);
   geo_io::put_u32(out, static_cast<std::uint32_t>(size()));
   for (std::size_t i = 0; i < size(); ++i) {
-    geo_io::put_u32(out, starts_[i]);
-    geo_io::put_u32(out, ends_[i]);
+    geo_io::put_u32(out, index_.start(i));
+    geo_io::put_u32(out, index_.end(i));
     geo_io::put_u32(out, asn_[i]);
     geo_io::put_str(out, geo_names().view(org_id_[i]));
   }

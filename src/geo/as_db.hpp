@@ -1,9 +1,9 @@
 #pragma once
 // IP -> autonomous system range database (the AS half of IP2Location).
 //
-// Same structure-of-arrays layout as GeoDatabase: a contiguous sorted
-// u32 key array behind a /16 radix skip index, POD payload arrays
-// (asn, interned org id), names stored once in geo_names().
+// Same structure-of-arrays layout as GeoDatabase: the shared
+// Ipv4RangeIndex (geo/range_index.hpp) plus POD payload arrays (asn,
+// interned org id), names stored once in geo_names().
 
 #include <cstdint>
 #include <optional>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "geo/interner.hpp"
+#include "geo/range_index.hpp"
 #include "net/ip_address.hpp"
 #include "util/result.hpp"
 
@@ -26,35 +27,19 @@ struct AsRecord {
 
 class AsDatabase {
  public:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  static constexpr std::size_t npos = Ipv4RangeIndex::npos;
 
   AsDatabase() = default;
 
   static Result<AsDatabase> build(std::vector<AsRecord> records);
 
   /// Row index of the range containing `addr`, or npos.
-  [[nodiscard]] std::size_t find(Ipv4Address addr) const {
-    const std::uint32_t v = addr.value();
-    const std::uint32_t h = v >> 16;
-    std::size_t base = radix_.empty() ? 0 : radix_[h];
-    std::size_t n = radix_.empty() ? 0 : radix_[h + 1] - base;
-    while (n > 0) {
-      const std::size_t half = n / 2;
-      const bool right = starts_[base + half] <= v;
-      base = right ? base + half + 1 : base;
-      n = right ? n - half - 1 : half;
-    }
-    if (base == 0) return npos;
-    const std::size_t i = base - 1;
-    return ends_[i] >= v ? i : npos;
-  }
+  [[nodiscard]] std::size_t find(Ipv4Address addr) const { return index_.find(addr); }
 
-  void prefetch(Ipv4Address addr) const {
-    if (!radix_.empty()) __builtin_prefetch(&radix_[addr.value() >> 16], 0, 1);
-  }
+  void prefetch(Ipv4Address addr) const { index_.prefetch(addr); }
 
-  [[nodiscard]] std::uint32_t range_start(std::size_t i) const { return starts_[i]; }
-  [[nodiscard]] std::uint32_t range_end(std::size_t i) const { return ends_[i]; }
+  [[nodiscard]] std::uint32_t range_start(std::size_t i) const { return index_.start(i); }
+  [[nodiscard]] std::uint32_t range_end(std::size_t i) const { return index_.end(i); }
   [[nodiscard]] std::uint32_t asn(std::size_t i) const { return asn_[i]; }
   [[nodiscard]] std::uint32_t org_id(std::size_t i) const { return org_id_[i]; }
 
@@ -67,19 +52,15 @@ class AsDatabase {
     return record(i);
   }
 
-  [[nodiscard]] std::size_t size() const { return starts_.size(); }
+  [[nodiscard]] std::size_t size() const { return index_.size(); }
 
   Status save(const std::string& path) const;
   static Result<AsDatabase> load(const std::string& path);
 
  private:
-  void build_radix();
-
-  std::vector<std::uint32_t> starts_;
-  std::vector<std::uint32_t> ends_;
+  Ipv4RangeIndex index_;
   std::vector<std::uint32_t> asn_;
   std::vector<std::uint32_t> org_id_;
-  std::vector<std::uint32_t> radix_;
 };
 
 }  // namespace ruru

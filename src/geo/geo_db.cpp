@@ -1,7 +1,5 @@
 #include "geo/geo_db.hpp"
 
-#include <algorithm>
-
 #include "geo/db_io.hpp"
 
 namespace ruru {
@@ -16,50 +14,29 @@ constexpr std::size_t kMinRecordBytes = 4 + 4 + 4 + 4 + 8 + 8;
 }  // namespace
 
 Result<GeoDatabase> GeoDatabase::build(std::vector<GeoRecord> records) {
-  std::sort(records.begin(), records.end(),
-            [](const GeoRecord& a, const GeoRecord& b) { return a.range_start < b.range_start; });
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (records[i].range_end < records[i].range_start) {
-      return make_error("geo: record " + std::to_string(i) + " has end < start");
-    }
-    if (i > 0 && records[i].range_start <= records[i - 1].range_end) {
-      return make_error("geo: overlapping ranges at index " + std::to_string(i));
-    }
-  }
+  auto index = Ipv4RangeIndex::build(records, "geo");
+  if (!index) return make_error(index.error());
   GeoDatabase db;
+  db.index_ = std::move(index).value();
   const std::size_t n = records.size();
-  db.starts_.reserve(n);
-  db.ends_.reserve(n);
   db.country_id_.reserve(n);
   db.city_id_.reserve(n);
   db.lat_.reserve(n);
   db.lon_.reserve(n);
   StringInterner& names = geo_names();
   for (const GeoRecord& r : records) {
-    db.starts_.push_back(r.range_start);
-    db.ends_.push_back(r.range_end);
     db.country_id_.push_back(names.intern(r.country));
     db.city_id_.push_back(names.intern(r.city));
     db.lat_.push_back(r.latitude);
     db.lon_.push_back(r.longitude);
   }
-  db.build_radix();
   return db;
-}
-
-void GeoDatabase::build_radix() {
-  radix_.assign(65537, 0);
-  std::size_t row = 0;
-  for (std::size_t h = 0; h <= 65536; ++h) {
-    while (row < starts_.size() && (starts_[row] >> 16) < h) ++row;
-    radix_[h] = static_cast<std::uint32_t>(row);
-  }
 }
 
 GeoRecord GeoDatabase::record(std::size_t i) const {
   GeoRecord r;
-  r.range_start = starts_[i];
-  r.range_end = ends_[i];
+  r.range_start = index_.start(i);
+  r.range_end = index_.end(i);
   r.country = std::string(geo_names().view(country_id_[i]));
   r.city = std::string(geo_names().view(city_id_[i]));
   r.latitude = lat_[i];
@@ -74,8 +51,8 @@ Status GeoDatabase::save(const std::string& path) const {
   geo_io::put_u32(out, kVersion);
   geo_io::put_u32(out, static_cast<std::uint32_t>(size()));
   for (std::size_t i = 0; i < size(); ++i) {
-    geo_io::put_u32(out, starts_[i]);
-    geo_io::put_u32(out, ends_[i]);
+    geo_io::put_u32(out, index_.start(i));
+    geo_io::put_u32(out, index_.end(i));
     geo_io::put_str(out, geo_names().view(country_id_[i]));
     geo_io::put_str(out, geo_names().view(city_id_[i]));
     geo_io::put_f64(out, lat_[i]);

@@ -2,12 +2,11 @@
 // IP -> location range database (the IP2Location role).
 //
 // Records are non-overlapping, inclusive IPv4 ranges sorted by start.
-// Storage is structure-of-arrays: the lookup walks a contiguous u32 key
-// array (4-byte stride, ~16 keys per cache line) with a branchless
-// binary search confined to a /16 bucket by a precomputed radix skip
-// index; the payload — interned name ids and coordinates, all POD —
-// lives in parallel arrays touched once per hit.  Strings are stored
-// exactly once, in the shared geo_names() interner.
+// Storage is structure-of-arrays: the lookup runs on the shared
+// Ipv4RangeIndex (geo/range_index.hpp); the payload — interned name ids
+// and coordinates, all POD — lives in parallel arrays touched once per
+// hit.  Strings are stored exactly once, in the shared geo_names()
+// interner.
 //
 // The database round-trips through a compact binary file format so
 // deployments can ship it separately from the binary, like the
@@ -20,6 +19,7 @@
 #include <vector>
 
 #include "geo/interner.hpp"
+#include "geo/range_index.hpp"
 #include "net/ip_address.hpp"
 #include "util/result.hpp"
 
@@ -38,7 +38,7 @@ struct GeoRecord {
 
 class GeoDatabase {
  public:
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  static constexpr std::size_t npos = Ipv4RangeIndex::npos;
 
   GeoDatabase() = default;
 
@@ -47,30 +47,14 @@ class GeoDatabase {
 
   /// Row index of the range containing `addr`, or npos.  Radix skip +
   /// branchless search; no allocation, no string touch.
-  [[nodiscard]] std::size_t find(Ipv4Address addr) const {
-    const std::uint32_t v = addr.value();
-    const std::uint32_t h = v >> 16;
-    std::size_t base = radix_.empty() ? 0 : radix_[h];
-    std::size_t n = radix_.empty() ? 0 : radix_[h + 1] - base;
-    while (n > 0) {  // branchless upper_bound: ternaries compile to cmov
-      const std::size_t half = n / 2;
-      const bool right = starts_[base + half] <= v;
-      base = right ? base + half + 1 : base;
-      n = right ? n - half - 1 : half;
-    }
-    if (base == 0) return npos;
-    const std::size_t i = base - 1;  // starts_[i] <= v by construction
-    return ends_[i] >= v ? i : npos;
-  }
+  [[nodiscard]] std::size_t find(Ipv4Address addr) const { return index_.find(addr); }
 
   /// Prefetch the radix bucket for `addr` (batch lookahead).
-  void prefetch(Ipv4Address addr) const {
-    if (!radix_.empty()) __builtin_prefetch(&radix_[addr.value() >> 16], 0, 1);
-  }
+  void prefetch(Ipv4Address addr) const { index_.prefetch(addr); }
 
   // POD row accessors (no allocation; format names via geo_names()).
-  [[nodiscard]] std::uint32_t range_start(std::size_t i) const { return starts_[i]; }
-  [[nodiscard]] std::uint32_t range_end(std::size_t i) const { return ends_[i]; }
+  [[nodiscard]] std::uint32_t range_start(std::size_t i) const { return index_.start(i); }
+  [[nodiscard]] std::uint32_t range_end(std::size_t i) const { return index_.end(i); }
   [[nodiscard]] std::uint32_t country_id(std::size_t i) const { return country_id_[i]; }
   [[nodiscard]] std::uint32_t city_id(std::size_t i) const { return city_id_[i]; }
   [[nodiscard]] double latitude(std::size_t i) const { return lat_[i]; }
@@ -87,21 +71,17 @@ class GeoDatabase {
     return record(i);
   }
 
-  [[nodiscard]] std::size_t size() const { return starts_.size(); }
+  [[nodiscard]] std::size_t size() const { return index_.size(); }
 
   Status save(const std::string& path) const;
   static Result<GeoDatabase> load(const std::string& path);
 
  private:
-  void build_radix();
-
-  std::vector<std::uint32_t> starts_;  // sorted; the only array the search walks
-  std::vector<std::uint32_t> ends_;
+  Ipv4RangeIndex index_;
   std::vector<std::uint32_t> country_id_;
   std::vector<std::uint32_t> city_id_;
   std::vector<double> lat_;
   std::vector<double> lon_;
-  std::vector<std::uint32_t> radix_;   // 65537: first row with start >= (h<<16)
 };
 
 }  // namespace ruru

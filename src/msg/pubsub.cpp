@@ -133,13 +133,6 @@ std::size_t PubSocket::publish_lane(std::size_t lane, const Message& message,
   return accepted;
 }
 
-std::size_t PubSocket::publish_stamped(Message& message, std::uint64_t samples) {
-  if (stamp_clock_ != nullptr && message.enqueued_at.ns == 0) {
-    message.enqueued_at = stamp_clock_->now();
-  }
-  return publish(message, samples);
-}
-
 std::size_t PubSocket::publish_lane_stamped(std::size_t lane, Message& message,
                                             std::uint64_t samples) {
   if (stamp_clock_ != nullptr && message.enqueued_at.ns == 0) {

@@ -154,17 +154,16 @@ class PubSocket {
   std::size_t publish_lane(std::size_t lane, const Message& message, std::uint64_t samples = 1);
 
   /// Install a clock (typically &obs::trace_clock()) before publishers
-  /// start; the *_stamped publish variants then stamp enqueued_at on
-  /// messages the caller has not stamped.  Centralizing the stamp here
+  /// start; publish_lane_stamped() then stamps enqueued_at on messages
+  /// the caller has not stamped.  Centralizing the stamp here
   /// keeps every producer on one timebase, so bus queue-wait measured
   /// downstream is never skewed against trace spans.  nullptr = no
   /// stamping (the stamp read costs one TSC conversion per message).
   void set_stamp_clock(const Clock* clock) { stamp_clock_ = clock; }
 
-  /// publish()/publish_lane() plus the enqueued_at stamp.  Takes a
-  /// mutable message because the stamp is real metadata the consumer
-  /// reads back; frames are still shared, never copied.
-  std::size_t publish_stamped(Message& message, std::uint64_t samples = 1);
+  /// publish_lane() plus the enqueued_at stamp.  Takes a mutable
+  /// message because the stamp is real metadata the consumer reads back;
+  /// frames are still shared, never copied.
   std::size_t publish_lane_stamped(std::size_t lane, Message& message,
                                    std::uint64_t samples = 1);
 

@@ -163,17 +163,19 @@ TEST_F(PoolTest, ShardedInboxConservesSamplesAcrossLanes) {
 }
 
 TEST_F(PoolTest, ShardedInboxOffFallsBackToSharedScan) {
-  PubSocket bus(1 << 14, /*fanin_lanes=*/4);
+  // More threads than lanes: a sharded worker would own no lane, so the
+  // pool takes the shared scan and every thread can pick up any lane.
+  constexpr std::size_t kLanes = 2;
+  PubSocket bus(1 << 14, kLanes);
   auto sub = bus.subscribe(std::string(kLatencyTopic), 1 << 14);
-  EnrichmentPool pool(sub, world_->geo, world_->as, 3);
-  pool.set_shard_inbox(false);
+  EnrichmentPool pool(sub, world_->geo, world_->as, kLanes + 1);
   std::atomic<int> sunk{0};
   pool.add_sink([&](const EnrichedSample&) { sunk.fetch_add(1); });
   pool.start();
 
   constexpr int kCount = 2'000;
   for (int i = 0; i < kCount; ++i) {
-    bus.publish_lane(static_cast<std::size_t>(i % 4),
+    bus.publish_lane(static_cast<std::size_t>(i) % kLanes,
                      encode_latency_sample(sample((100u << 24) + static_cast<std::uint32_t>(i % 4096))));
   }
   bus.close_all();

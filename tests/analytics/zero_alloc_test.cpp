@@ -233,7 +233,7 @@ TEST(ZeroAlloc, InflowKernelSteadyStateDoesNotAllocate) {
   icfg.ring_entries = 8;
   icfg.min_interval = Duration{0};
   HandshakeTracker tracker(1 << 10, Duration::from_sec(30.0), FlowTable::kDefaultProbeWindow,
-                           ProbeKernel::kAuto, icfg);
+                           icfg);
   std::vector<LatencySample> out;
   out.reserve(frames.size());
 

@@ -155,13 +155,18 @@ TEST(PipelineConfigFile, TsdbEngineKeys) {
 }
 
 TEST(PipelineConfigFile, ShardInboxToggle) {
-  const auto off = pipeline_config_from_text("[analytics]\nshard_inbox = false\n");
-  ASSERT_TRUE(off.ok()) << off.error();
-  EXPECT_FALSE(off.value().enrich_shard_inbox);
-  const auto defaults = pipeline_config_from_text("");
-  ASSERT_TRUE(defaults.ok());
-  EXPECT_TRUE(defaults.value().enrich_shard_inbox);  // sharded by default
-  EXPECT_FALSE(pipeline_config_from_text("[analytics]\nshard_inbox = maybe\n").ok());
+  // The toggle is gone: the pool shards its inbox iff threads > 1 and
+  // lanes >= threads.  The former key is refused by name in either
+  // spelling; analytics.threads alone still sets the enricher count.
+  for (const char* text :
+       {"[analytics]\nshard_inbox = false\n", "[analytics]\nshard_inbox = true\n"}) {
+    const auto r = pipeline_config_from_text(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_NE(r.error().find("analytics.shard_inbox"), std::string::npos) << r.error();
+  }
+  const auto threads = pipeline_config_from_text("[analytics]\nthreads = 4\n");
+  ASSERT_TRUE(threads.ok()) << threads.error();
+  EXPECT_EQ(threads.value().enrichment_threads, 4u);
 }
 
 TEST(PipelineConfigFile, LinkMeterKeys) {
@@ -266,12 +271,18 @@ TEST(PipelineConfigFile, ProbeWindowKey) {
 }
 
 TEST(PipelineConfigFile, SymmetricRssToggle) {
-  const auto sym = pipeline_config_from_text("[capture]\nsymmetric_rss = true\n");
-  ASSERT_TRUE(sym.ok());
-  EXPECT_EQ(sym.value().rss_key, symmetric_rss_key());
-  const auto asym = pipeline_config_from_text("[capture]\nsymmetric_rss = false\n");
-  ASSERT_TRUE(asym.ok());
-  EXPECT_EQ(asym.value().rss_key, default_rss_key());
+  // The toggle is gone: every config runs the symmetric RSS key (both
+  // directions of a flow on one queue, which the tracker needs), and
+  // the former key is refused by name in either spelling.
+  for (const char* text :
+       {"[capture]\nsymmetric_rss = true\n", "[capture]\nsymmetric_rss = false\n"}) {
+    const auto r = pipeline_config_from_text(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_NE(r.error().find("capture.symmetric_rss"), std::string::npos) << r.error();
+  }
+  const auto queues = pipeline_config_from_text("[capture]\nqueues = 4\n");
+  ASSERT_TRUE(queues.ok()) << queues.error();
+  EXPECT_EQ(queues.value().rss_key, symmetric_rss_key());
 }
 
 TEST(PipelineConfigFile, LoadsFromFile) {
@@ -316,12 +327,52 @@ TEST(PipelineConfigFile, TopologyKeys) {
 TEST(PipelineConfigFile, RemovedAliasKeysAreUnknown) {
   // Keys the parser no longer accepts must fail as unknown, not
   // silently no-op.
-  for (const char* text : {"[topology]\nworkers = 4\n", "[topology]\nenrichers = 2\n",
-                           "[capture]\ninject_burst = 8\n"}) {
+  for (const char* text :
+       {"[topology]\nworkers = 4\n", "[topology]\nenrichers = 2\n",
+        "[capture]\ninject_burst = 8\n", "[capture]\nsymmetric_rss = true\n",
+        "[capture]\nsymmetric_rss = false\n", "[analytics]\nshard_inbox = false\n"}) {
     const auto r = pipeline_config_from_text(text);
     ASSERT_FALSE(r.ok()) << text;
     EXPECT_NE(r.error().find("unknown key"), std::string::npos) << r.error();
   }
+}
+
+/// `key` in `[section]` must refuse zero, negative, sub-nanosecond and
+/// out-of-range durations with an error naming it, and accept a
+/// positive one.
+void expect_positive_duration_key(const std::string& section, const std::string& key,
+                                  const std::string& extra = "") {
+  const std::string full = section + "." + key;
+  for (const char* bad : {"0", "-1", "0.0", "1e-12", "nan", "1e300"}) {
+    const auto r =
+        pipeline_config_from_text("[" + section + "]\n" + extra + key + " = " + bad + "\n");
+    ASSERT_FALSE(r.ok()) << full << " = " << bad;
+    EXPECT_NE(r.error().find(full), std::string::npos) << r.error();
+  }
+  const auto ok = pipeline_config_from_text("[" + section + "]\n" + extra + key + " = 0.5\n");
+  EXPECT_TRUE(ok.ok()) << ok.error();
+}
+
+TEST(PipelineConfigFile, MeterWindowMustBePositive) {
+  // 0 divided by zero on the first frame; -1 never closed a window.
+  expect_positive_duration_key("meter", "window_s");
+}
+
+TEST(PipelineConfigFile, SynfloodWindowMustBePositive) {
+  expect_positive_duration_key("detectors", "synflood_window_s");
+}
+
+TEST(PipelineConfigFile, PeriodicPeriodMustBePositive) {
+  expect_positive_duration_key("detectors", "periodic_period_s", "periodic = true\n");
+}
+
+TEST(PipelineConfigFile, PeriodicBucketMustBePositive) {
+  expect_positive_duration_key("detectors", "periodic_bucket_s", "periodic = true\n");
+}
+
+TEST(PipelineConfigFile, StaleAfterMustBePositive) {
+  // 0 aged every handshake out before its SYN-ACK: no samples at all.
+  expect_positive_duration_key("flow", "stale_after_s");
 }
 
 TEST(PipelineConfigFile, PinListMayCoverWorkersOnly) {

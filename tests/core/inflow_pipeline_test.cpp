@@ -113,6 +113,32 @@ TEST(InflowPipeline, MidFlowShiftVisibleInTsdbHandshakesUntouched) {
   EXPECT_EQ(none.count, 0u);
 }
 
+TEST(InflowPipeline, SummaryConservesWorkerPackets) {
+  // The worker conservation law, read through summary(): every packet is
+  // parsed, skipped by the fast path, or consumed by the in-flow kernel.
+  const World world = scenario_world();
+  for (const bool enabled : {true, false}) {
+    SCOPED_TRACE(enabled ? "kernel on" : "kernel off");
+    auto model = scenarios::inflow_shift(17, 20.0, Duration::from_sec(3.0),
+                                         Timestamp::from_sec(1.5), Duration::from_ms(80));
+    RuruPipeline pipeline(inflow_config(enabled), world.geo, world.as);
+    pipeline.start();
+    replay_scenario(pipeline, model);
+    pipeline.finish();
+
+    const WorkerStats& w = pipeline.summary().workers;
+    std::uint64_t parsed = 0;
+    for (const auto& c : w.parse_status) parsed += c;
+    ASSERT_GT(w.packets, 0u);
+    EXPECT_EQ(w.packets, parsed + w.fast_path_skips + w.inflow_consumed);
+    if (enabled) {
+      EXPECT_GT(w.inflow_consumed, 0u);
+    } else {
+      EXPECT_EQ(w.inflow_consumed, 0u);
+    }
+  }
+}
+
 TEST(InflowPipeline, OneSidedSamplesStayOutOfHandshakeSeries) {
   // Plain background traffic with the kernel on: in-flow samples flow to
   // their own measurements and never pollute the handshake aggregates.

@@ -167,19 +167,6 @@ TEST(FlowTable, FindErasesStaleMatchSoOccupancyStaysAccurate) {
   EXPECT_EQ(table.stats().evictions_stale, 1u);
 }
 
-TEST(FlowTable, ContainsSkipsStaleWithoutMutating) {
-  FlowTable table(64, Duration::from_sec(30.0));
-  bool inserted = false;
-  table.find_or_insert(key_for(1, 1), 5, Timestamp::from_sec(1), inserted);
-  const std::uint64_t evictions = table.stats().evictions_stale.load();
-  // contains() applies the same "a stale match is dead" rule as find(),
-  // minus every side effect: no reclamation, no stats.
-  EXPECT_FALSE(table.contains(key_for(1, 1), 5, Timestamp::from_sec(100)));
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_EQ(table.stats().evictions_stale.load(), evictions);
-  EXPECT_TRUE(table.contains(key_for(1, 1), 5, Timestamp::from_sec(2)));
-}
-
 TEST(FlowTable, StaleReinsertDoesNotLeakOccupancy) {
   FlowTable table(64, Duration::from_sec(30.0));
   bool inserted = false;
@@ -246,7 +233,8 @@ TEST(FlowTableCollision, SaturatedWindowStillFindsEveryResident) {
   for (std::uint32_t i = 0; i < window; ++i) {
     EXPECT_NE(table.find(key_for(i + 1, 1), 5, Timestamp::from_sec(2)), FlowTable::kNoSlot)
         << "resident " << i << " lost under saturation";
-    EXPECT_TRUE(table.contains(key_for(i + 1, 1), 5, Timestamp::from_sec(2)));
+    EXPECT_EQ(table.classify(key_for(i + 1, 1), 5, Timestamp::from_sec(2)).kind,
+              FlowTable::ClassifyKind::kLive);
   }
 }
 
@@ -353,60 +341,6 @@ TEST(FlowTableSweep, LeavesLiveEntriesAlone) {
   EXPECT_NE(table.find(key_for(1, 1), 5, Timestamp::from_sec(100)), FlowTable::kNoSlot);
 }
 
-// --- scalar / SIMD parity ----------------------------------------------
-
-TEST(FlowTableParity, ScalarAndSimdKernelsAgreeOnRandomWorkload) {
-  FlowTable simd(1 << 10, Duration::from_sec(30.0), 32, ProbeKernel::kSimd);
-  FlowTable scalar(1 << 10, Duration::from_sec(30.0), 32, ProbeKernel::kScalar);
-  EXPECT_FALSE(scalar.simd_active());
-
-  Pcg32 rng(11);
-  std::vector<std::pair<FlowKey, std::uint32_t>> flows;
-  for (int i = 0; i < 400; ++i) {
-    // Bias hashes into few values so probe windows collide hard.
-    flows.emplace_back(key_for(rng.next_u32(), static_cast<std::uint16_t>(i)),
-                       rng.bounded(16) * 7919u);
-  }
-  for (int step = 0; step < 20'000; ++step) {
-    const auto& [key, rss] = flows[rng.bounded(static_cast<std::uint32_t>(flows.size()))];
-    const Timestamp now = Timestamp::from_ms(step * 5);
-    switch (rng.bounded(4)) {
-      case 0: {
-        bool ia = false, ib = false;
-        const FlowTable::Slot a = simd.find_or_insert(key, rss, now, ia);
-        const FlowTable::Slot b = scalar.find_or_insert(key, rss, now, ib);
-        ASSERT_EQ(a == FlowTable::kNoSlot, b == FlowTable::kNoSlot);
-        ASSERT_EQ(ia, ib);
-        break;
-      }
-      case 1:
-        ASSERT_EQ(simd.find(key, rss, now) == FlowTable::kNoSlot,
-                  scalar.find(key, rss, now) == FlowTable::kNoSlot);
-        break;
-      case 2:
-        ASSERT_EQ(simd.contains(key, rss, now), scalar.contains(key, rss, now));
-        break;
-      case 3: {
-        const FlowTable::Slot a = simd.find(key, rss, now);
-        const FlowTable::Slot b = scalar.find(key, rss, now);
-        ASSERT_EQ(a == FlowTable::kNoSlot, b == FlowTable::kNoSlot);
-        if (a != FlowTable::kNoSlot) {
-          simd.erase(a);
-          scalar.erase(b);
-        }
-        break;
-      }
-    }
-    ASSERT_EQ(simd.size(), scalar.size()) << "diverged at step " << step;
-  }
-  EXPECT_EQ(simd.stats().inserts.load(), scalar.stats().inserts.load());
-  EXPECT_EQ(simd.stats().hits.load(), scalar.stats().hits.load());
-  EXPECT_EQ(simd.stats().evictions_stale.load(), scalar.stats().evictions_stale.load());
-  EXPECT_EQ(simd.stats().insert_failures.load(), scalar.stats().insert_failures.load());
-  EXPECT_EQ(simd.stats().erases.load(), scalar.stats().erases.load());
-  EXPECT_EQ(simd.stats().tag_mismatches.load(), scalar.stats().tag_mismatches.load());
-}
-
 TEST(FlowTable, ManyFlowsChurnWithoutLoss) {
   // ~10k flows stay live (half of 20k complete immediately); size the
   // table with the same ~3x headroom a deployment would use.
@@ -435,9 +369,8 @@ TEST(FlowTable, ManyFlowsChurnWithoutLoss) {
 // --- concurrency: the metrics snapshot thread vs the data path ---------
 //
 // The owning worker is the only mutator, but the snapshot thread reads
-// stats()/size() live, and a second reader may call contains() (it is
-// documented mutation-free). Run under TSan (tools/check.sh flow) this
-// proves those reads race nothing.
+// stats()/size() live. Run under TSan (tools/check.sh tsan) this proves
+// those reads race nothing.
 
 TEST(FlowTableConcurrency, StatsSnapshotRacesDataPathCleanly) {
   FlowTable table(1 << 12);

@@ -127,38 +127,73 @@ TEST(GroupProbe, SimdMaskedEqMatchesScalarOnRandomBytes) {
     ASSERT_EQ(group_masked_eq_simd(g.data(), mask, value),
               group_masked_eq_scalar(g.data(), mask, value))
         << "iter " << iter << " mask " << int(mask) << " value " << int(value);
-    ASSERT_EQ(group_masked_eq(true, g.data(), mask, value),
-              group_masked_eq(false, g.data(), mask, value));
   }
 }
 
-TEST(GroupProbe, ResolveSimdHonoursKernelChoice) {
-  EXPECT_TRUE(resolve_simd(ProbeKernel::kAuto));
-  EXPECT_TRUE(resolve_simd(ProbeKernel::kSimd));
-  EXPECT_FALSE(resolve_simd(ProbeKernel::kScalar));
-}
+#endif  // RURU_FLOW_GROUP_SIMD
+
+// The dispatchers are what the flow table and the worker call: on a
+// SIMD build they are the SIMD kernels (checked at compile time), and
+// they agree with the scalar twins.
+#if RURU_FLOW_GROUP_SIMD
+static_assert(&group_match == &group_match_simd && &group_empty == &group_empty_simd &&
+              &group_full == &group_full_simd && &group_reusable == &group_reusable_simd &&
+              &group_masked_eq == &group_masked_eq_simd);
+#else
+static_assert(&group_match == &group_match_scalar && &group_empty == &group_empty_scalar &&
+              &group_full == &group_full_scalar && &group_reusable == &group_reusable_scalar &&
+              &group_masked_eq == &group_masked_eq_scalar);
+#endif
 
 TEST(GroupProbe, DispatchRoutesToRequestedKernel) {
   Pcg32 rng(303);
   for (int iter = 0; iter < 200; ++iter) {
     const auto g = random_group(rng);
     const auto tag = static_cast<std::uint8_t>(rng.bounded(0x80));
-    ASSERT_EQ(group_match(true, g.data(), tag), group_match(false, g.data(), tag));
-    ASSERT_EQ(group_empty(true, g.data()), group_empty(false, g.data()));
-    ASSERT_EQ(group_full(true, g.data()), group_full(false, g.data()));
-    ASSERT_EQ(group_reusable(true, g.data()), group_reusable(false, g.data()));
+    ASSERT_EQ(group_match(g.data(), tag), group_match_scalar(g.data(), tag));
+    ASSERT_EQ(group_empty(g.data()), group_empty_scalar(g.data()));
+    ASSERT_EQ(group_full(g.data()), group_full_scalar(g.data()));
+    ASSERT_EQ(group_reusable(g.data()), group_reusable_scalar(g.data()));
+    ASSERT_EQ(group_masked_eq(g.data(), 0x17, 0x10), group_masked_eq_scalar(g.data(), 0x17, 0x10));
   }
 }
 
-#else
-
-TEST(GroupProbe, ScalarOnlyBuildNeverReportsSimd) {
-  EXPECT_FALSE(kHaveGroupSimd);
-  EXPECT_FALSE(resolve_simd(ProbeKernel::kAuto));
-  EXPECT_FALSE(resolve_simd(ProbeKernel::kSimd));
+// Exhaustive lane coverage: every byte value at every lane position, over
+// backgrounds of each control class, through the build's kernels (the
+// dispatchers) against the scalar twins.  Random groups can miss a lane
+// whose byte sits on a sign or sentinel boundary; this cannot.
+TEST(GroupProbe, EveryKernelMatchesScalarForEveryByteAtEveryLane) {
+  constexpr std::array<std::uint8_t, 4> kBackgrounds = {kCtrlEmpty, kCtrlTombstone, 0x00, 0x7F};
+  constexpr std::array<std::uint8_t, 6> kMasks = {0xFF, 0x17, 0x80, 0x7F, 0x01, 0x00};
+  for (const std::uint8_t bg : kBackgrounds) {
+    for (std::size_t lane = 0; lane < kFlowGroupWidth; ++lane) {
+      std::array<std::uint8_t, kFlowGroupWidth> g{};
+      g.fill(bg);
+      for (unsigned b = 0; b < 256; ++b) {
+        const auto byte = static_cast<std::uint8_t>(b);
+        g[lane] = byte;
+        SCOPED_TRACE(testing::Message() << "background " << int(bg) << " lane " << lane
+                                        << " byte " << b);
+        ASSERT_EQ(group_empty(g.data()), group_empty_scalar(g.data()));
+        ASSERT_EQ(group_full(g.data()), group_full_scalar(g.data()));
+        ASSERT_EQ(group_reusable(g.data()), group_reusable_scalar(g.data()));
+        for (unsigned t = 0; t < 256; ++t) {
+          const auto tag = static_cast<std::uint8_t>(t);
+          ASSERT_EQ(group_match(g.data(), tag), group_match_scalar(g.data(), tag)) << "tag " << t;
+        }
+        for (const std::uint8_t mask : kMasks) {
+          for (const std::uint8_t value :
+               {static_cast<std::uint8_t>(byte & mask), static_cast<std::uint8_t>(bg & mask),
+                static_cast<std::uint8_t>((byte ^ 0x10u) & mask)}) {
+            ASSERT_EQ(group_masked_eq(g.data(), mask, value),
+                      group_masked_eq_scalar(g.data(), mask, value))
+                << "mask " << int(mask) << " value " << int(value);
+          }
+        }
+      }
+    }
+  }
 }
-
-#endif  // RURU_FLOW_GROUP_SIMD
 
 }  // namespace
 }  // namespace ruru

@@ -93,8 +93,7 @@ class InflowTrackerTest : public ::testing::Test {
 
   void reset(InflowConfig cfg) {
     tracker_ = std::make_unique<HandshakeTracker>(1 << 10, Duration::from_sec(30.0),
-                                                  FlowTable::kDefaultProbeWindow,
-                                                  ProbeKernel::kAuto, cfg);
+                                                  FlowTable::kDefaultProbeWindow, cfg);
   }
 
   /// Feeds one frame through the full-parse path, returning emitted

@@ -101,12 +101,13 @@ TEST_P(TrackerFuzzTest, InvariantsHoldUnderRandomInterleaving) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TrackerFuzzTest,
                          ::testing::Values(1, 7, 42, 1337, 0xDEAD, 0xBEEF, 2024, 31415));
 
-// Oracle test: the same adversarial stream through the SIMD group-probed
-// table (batched, prefetch-pipelined) and through a kScalar reference
-// tracker fed one packet at a time.  Every emitted sample must agree
-// field-by-field, and the final stats and table occupancy must match —
-// the SIMD kernels and process_burst() are pure accelerations, never a
-// behaviour change.
+// Oracle test: the same adversarial stream through a batched, prefetch-
+// pipelined tracker (process_burst) and through a reference tracker fed
+// one packet at a time, both on the build's probe kernel (the kernels
+// themselves are checked against their scalar twins by GroupProbe.*).
+// Every emitted sample must agree field-by-field, and the final stats
+// and table occupancy must match — process_burst() is a pure
+// acceleration, never a behaviour change.
 class TrackerOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(TrackerOracleTest, SimdBurstMatchesScalarPerPacketOracle) {
@@ -167,8 +168,8 @@ TEST_P(TrackerOracleTest, SimdBurstMatchesScalarPerPacketOracle) {
   }
 
   // Deliberately small table + window so saturation paths run too.
-  HandshakeTracker simd(256, Duration::from_sec(30.0), 32, ProbeKernel::kAuto);
-  HandshakeTracker scalar(256, Duration::from_sec(30.0), 32, ProbeKernel::kScalar);
+  HandshakeTracker simd(256, Duration::from_sec(30.0), 32);    // batched
+  HandshakeTracker scalar(256, Duration::from_sec(30.0), 32);  // per packet
 
   std::vector<LatencySample> simd_samples;
   std::vector<LatencySample> scalar_samples;

@@ -309,6 +309,46 @@ TEST_F(WorkerTest, FastPathDoesNotSkipMidHandshakePackets) {
   EXPECT_EQ(worker.stats().fast_path_skips, 0u);  // nothing skippable in a bare handshake
 }
 
+TEST_F(WorkerTest, HandshakeOnlyLookupReclaimsStaleEntry) {
+  // In-flow kernel off: a data segment's fast-path lookup is the same
+  // mutating lookup the in-flow mode runs, so a verified entry gone stale
+  // is reclaimed on the way instead of waiting for the sweep.
+  constexpr std::size_t kCapacity = 1 << 16;  // 4096 groups; a burst sweeps 4
+  const Ipv4Address client(10, 1, 0, 1);
+  for (const auto kernel : {QueueWorker::LoopKernel::kVector, QueueWorker::LoopKernel::kScalar}) {
+    SCOPED_TRACE(kernel == QueueWorker::LoopKernel::kVector ? "vector" : "scalar");
+    QueueWorker worker(*nic_, 0, kCapacity, nullptr, Duration::from_sec(2.0));
+    worker.set_loop_kernel(kernel);
+
+    TcpFrameSpec syn;
+    syn.src_ip = client;
+    syn.dst_ip = server_;
+    syn.src_port = 40'000;
+    syn.dst_port = 443;
+    syn.seq = 100;
+    syn.flags = TcpFlags::kSyn;
+    const auto syn_frame = build_tcp_frame(syn);
+    nic_->inject(syn_frame, Timestamp::from_ms(0));
+    ASSERT_EQ(worker.poll_once(), 1u);
+    ASSERT_EQ(worker.tracker().table().size(), 1u);
+
+    // Precondition: the SYN's group lies past the groups the two bursts'
+    // sweeps examine, so only the lookup can reclaim it.
+    PacketView view;
+    ASSERT_EQ(parse_packet(syn_frame, view), ParseStatus::kOk);
+    const FlowTable::FlowClassify c = worker.tracker().table().classify(
+        FlowKey::from(view.tuple()), nic_->hash_frame(syn_frame), Timestamp::from_ms(0));
+    ASSERT_EQ(c.kind, FlowTable::ClassifyKind::kLive);
+    ASSERT_GE(c.slot / kFlowGroupWidth, 2 * QueueWorker::kSweepGroupsPerBurst);
+
+    inject_data_segment(client, 40'000, server_, 443, 10'000);  // past stale_after
+    ASSERT_EQ(worker.poll_once(), 1u);
+    EXPECT_EQ(worker.stats().fast_path_skips, 1u);
+    EXPECT_EQ(worker.tracker().table().stats().evictions_stale, 1u);
+    EXPECT_EQ(worker.tracker().table().size(), 0u);
+  }
+}
+
 TEST_F(WorkerTest, EmptyPollsAreCounted) {
   QueueWorker worker(*nic_, 0, 1024, nullptr);
   EXPECT_EQ(worker.poll_once(), 0u);
