@@ -3,7 +3,9 @@
 // grouped by location/AS).
 //
 // Reports ingest rate, windowed-stats query latency over 1M points, and
-// group-by query latency, plus WAL append overhead.
+// group-by query latency, plus WAL append overhead.  BM_ChunkDecode and
+// BM_Summarize split a query's cost into its two layers: chunk decode
+// (ns/point) and ordering + stats (ns/value).
 
 #include <benchmark/benchmark.h>
 
@@ -126,6 +128,66 @@ void BM_TsdbGroupBy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TsdbGroupBy)->Arg(0)->Arg(1)->ArgName("key")->Unit(benchmark::kMillisecond);
+
+/// Latency-shaped values: whole nanoseconds in [80, 300) ms, in ms.
+double handshake_ms(Pcg32& rng) {
+  return static_cast<double>(80'000'000 + rng.bounded(220'000'000)) / 1e6;
+}
+
+/// Distinct inputs a bench cycles through, so the branch predictor
+/// cannot learn one input's outcomes across iterations (a query never
+/// sees the same data twice in a row).
+constexpr std::size_t kInputs = 16;
+
+// Query layer 1: decode a sealed 512-point chunk shaped like a handshake
+// series (arrivals 0.5-1.5 ms apart, ns-derived ms values).
+void BM_ChunkDecode(benchmark::State& state) {
+  constexpr std::uint32_t kPoints = 512;
+  Pcg32 rng(0xC0DE);
+  std::vector<std::shared_ptr<const SealedChunk>> chunks;
+  std::size_t bytes = 0;
+  for (std::size_t c = 0; c < kInputs; ++c) {
+    ChunkWriter writer;
+    std::int64_t t = 0;
+    for (std::uint32_t i = 0; i < kPoints; ++i) {
+      t += 500'000 + rng.bounded(1'000'000);
+      writer.append(Timestamp::from_ns(t), handshake_ms(rng));
+    }
+    chunks.push_back(writer.seal());
+    bytes += chunks.back()->bytes.size();
+  }
+  std::vector<std::int64_t> ts(kPoints);
+  std::vector<double> values(kPoints);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    ChunkCursor cursor(*chunks[next++ % kInputs]);
+    benchmark::DoNotOptimize(cursor.read(ts.data(), values.data(), kPoints));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kPoints);
+  state.counters["bits_per_point"] = static_cast<double>(bytes * 8) / (kInputs * kPoints);
+}
+BENCHMARK(BM_ChunkDecode);
+
+// Query layer 2: order one group's values and take its stats.  Each
+// iteration copies in one of the unsorted inputs (summarize sorts in
+// place).
+void BM_Summarize(benchmark::State& state) {
+  Pcg32 rng(0x5042);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::vector<std::uint64_t>> inputs(kInputs, std::vector<std::uint64_t>(n));
+  for (auto& input : inputs) {
+    for (auto& k : input) k = order_key(handshake_ms(rng));
+  }
+  std::vector<std::uint64_t> keys;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    keys = inputs[next++ % kInputs];
+    benchmark::DoNotOptimize(summarize(keys));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Summarize)->Arg(1'000)->Arg(20'000)->Arg(100'000)->Unit(benchmark::kMicrosecond);
 
 // Retention enforcement cost.
 void BM_TsdbRetention(benchmark::State& state) {

@@ -77,21 +77,10 @@ void BitWriter::put(std::uint64_t bits, unsigned n) {
   }
 }
 
-std::uint64_t BitReader::get(unsigned n) {
-  std::uint64_t out = 0;
-  while (n > 0) {
-    if (pos_ >= len_bits_) return n < 64 ? out << n : 0;  // past the end: zero-fill
-    const unsigned bit_in_byte = static_cast<unsigned>(pos_ & 7);
-    const unsigned avail = 8 - bit_in_byte;
-    const unsigned take = n < avail ? n : avail;
-    const std::uint8_t byte = data_[pos_ >> 3];
-    const std::uint64_t chunk =
-        (static_cast<std::uint64_t>(byte) >> (avail - take)) & ((1ull << take) - 1);
-    out = (take < 64 ? out << take : 0) | chunk;
-    pos_ += take;
-    n -= take;
+void BitReader::refill_tail() {
+  for (; count_ <= 56; count_ += 8) {
+    if (next_ != end_) window_ |= static_cast<std::uint64_t>(*next_++) << (56 - count_);
   }
-  return out;
 }
 
 void ChunkWriter::append(Timestamp ts, double value) {
@@ -214,65 +203,100 @@ void ChunkWriter::clear() {
   window_valid_ = false;
 }
 
-bool ChunkCursor::next(Timestamp& ts, double& value) {
-  if (remaining_ == 0) return false;
-  --remaining_;
+std::uint32_t ChunkCursor::read(std::int64_t* ts, double* values, std::uint32_t max) {
+  const std::uint32_t n = max < remaining_ ? max : remaining_;
+  if (n == 0) return 0;
+  remaining_ -= n;
 
+  // Decoder state lives in locals for the batch so it stays in registers.
+  BitReader bits = bits_;
+  std::int64_t prev_ts = prev_ts_;
+  std::int64_t delta = prev_delta_;
+  std::uint64_t prev = prev_bits_;
+  unsigned lead = window_lead_;
+  unsigned trail = window_trail_;
+  std::int64_t scaled = scaled_;
+  unsigned scaled_k = scaled_k_;
+  std::uint32_t i = 0;
   if (first_) {
     first_ = false;
-    prev_ts_ = static_cast<std::int64_t>(bits_.get(64));
-    prev_value_ = std::bit_cast<double>(bits_.get(64));
-    prev_delta_ = 0;
-    ts = Timestamp{prev_ts_};
-    value = prev_value_;
-    return true;
+    prev_ts = static_cast<std::int64_t>(bits.get(64));
+    prev = bits.get(64);
+    delta = 0;
+    scaled_k = kNoScale;
+    ts[0] = prev_ts;
+    values[0] = std::bit_cast<double>(prev);
+    i = 1;
   }
-
-  // Timestamp.
-  if (bits_.get(1) != 0) {
-    unsigned width = 14;
-    if (bits_.get(1) != 0) {
-      width = 28;
-      if (bits_.get(1) != 0) {
-        width = bits_.get(1) != 0 ? 64 : 44;
-      }
-    }
-    prev_delta_ = wrap_add(prev_delta_, unzigzag(bits_.get(width)));
-  }
-  prev_ts_ = wrap_add(prev_ts_, prev_delta_);
-  ts = Timestamp{prev_ts_};
-
-  // Value.
-  if (bits_.get(1) == 0) {
-    value = prev_value_;
-    return true;
-  }
-  if (bits_.get(1) == 0) {
-    // Scaled-integer delta.
-    const unsigned k = static_cast<unsigned>(bits_.get(2));
-    const unsigned w = static_cast<unsigned>(bits_.get(2));
-    const std::int64_t delta = unzigzag(bits_.get(kDeltaWidths[w]));
-    const double scale = kScales[k < 3 ? k : 2];
-    const std::int64_t ref = std::llrint(prev_value_ * scale);
-    value = static_cast<double>(wrap_add(ref, delta)) / scale;
-  } else {
-    // XOR.
-    std::uint64_t x;
-    if (bits_.get(1) == 0) {
-      const unsigned mlen = 64 - window_lead_ - window_trail_;
-      x = bits_.get(mlen) << window_trail_;
+  for (; i < n; ++i) {
+    // Timestamp, by its first 4 bits.  Each branch reads a constant
+    // width, so a predicted header costs no dependent table lookup.
+    const auto dod = [&](unsigned header, unsigned width) {
+      bits.skip(header);
+      delta = wrap_add(delta, unzigzag(bits.get(width)));
+    };
+    const std::uint64_t stamp = bits.peek(4);
+    if (stamp < 0b1000) {
+      bits.skip(1);  // dod == 0
+    } else if (stamp < 0b1100) {
+      dod(2, 14);
+    } else if (stamp < 0b1110) {
+      dod(3, 28);
+    } else if (stamp == 0b1110) {
+      dod(4, 44);
     } else {
-      const unsigned lead = static_cast<unsigned>(bits_.get(5));
-      const unsigned mlen = static_cast<unsigned>(bits_.get(6)) + 1;
-      const unsigned trail = 64 - lead - mlen;
-      x = bits_.get(mlen) << trail;
-      window_lead_ = static_cast<std::uint8_t>(lead);
-      window_trail_ = static_cast<std::uint8_t>(trail);
+      dod(4, 64);
     }
-    value = std::bit_cast<double>(std::bit_cast<std::uint64_t>(prev_value_) ^ x);
+    prev_ts = wrap_add(prev_ts, delta);
+    ts[i] = prev_ts;
+
+    // Value: '0' repeat | '10' k:2 w:2 delta | '110' bits | '111' lead:5 len:6 bits.
+    const std::uint64_t head = bits.peek(14);
+    if ((head >> 13) == 0) {
+      bits.skip(1);
+    } else if ((head >> 12) == 0b10) {
+      const unsigned k = static_cast<unsigned>(head >> 10) & 3;
+      const unsigned w = static_cast<unsigned>(head >> 8) & 3;
+      bits.skip(6);
+      // kDeltaWidths[w], one constant width per branch.
+      const std::int64_t d = unzigzag(w == 2   ? bits.get(30)
+                                      : w == 1 ? bits.get(20)
+                                      : w == 0 ? bits.get(10)
+                                               : bits.get(64));
+      const unsigned ks = k < 3 ? k : 2;
+      const double scale = kScales[ks];
+      // The encoder's reference is llrint(prev * scale).  When prev was
+      // itself encoded at this scale, that is the integer it encoded
+      // then, so reusing it is exact and keeps the llrint and the
+      // division off the point-to-point dependency.
+      const std::int64_t ref =
+          ks == scaled_k ? scaled : std::llrint(std::bit_cast<double>(prev) * scale);
+      scaled = wrap_add(ref, d);
+      prev = std::bit_cast<std::uint64_t>(static_cast<double>(scaled) / scale);
+      scaled_k = ks;
+    } else {
+      if ((head >> 11) == 0b110) {
+        bits.skip(3);
+      } else {
+        lead = static_cast<unsigned>(head >> 6) & 31;
+        trail = 64 - lead - ((static_cast<unsigned>(head) & 63) + 1);
+        bits.skip(14);
+      }
+      prev ^= bits.get(64 - lead - trail) << trail;
+      scaled_k = kNoScale;
+    }
+    values[i] = std::bit_cast<double>(prev);
   }
-  prev_value_ = value;
-  return true;
+
+  bits_ = bits;
+  prev_ts_ = prev_ts;
+  prev_delta_ = delta;
+  prev_bits_ = prev;
+  window_lead_ = static_cast<std::uint8_t>(lead);
+  window_trail_ = static_cast<std::uint8_t>(trail);
+  scaled_ = scaled;
+  scaled_k_ = scaled_k;
+  return n;
 }
 
 }  // namespace ruru

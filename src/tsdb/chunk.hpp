@@ -36,8 +36,10 @@
 // serializes appends); SealedChunk is immutable and safe to read from
 // any thread without synchronization.
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -64,18 +66,67 @@ class BitWriter {
 };
 
 /// MSB-first bit source over a byte span (not owning).
+///
+/// Keeps the next stream bits in a 64-bit window, most significant bit
+/// first.  While at least 8 bytes remain it refills with one unaligned
+/// big-endian 8-byte load; over the last 7 bytes it refills byte by
+/// byte, so it never reads past the span.  Bits past the end read as 0.
 class BitReader {
  public:
-  BitReader(const std::uint8_t* data, std::size_t len) : data_(data), len_bits_(len * 8) {}
+  BitReader(const std::uint8_t* data, std::size_t len) : next_(data), end_(data + len) {}
 
   /// Reads `n` bits (n in [0, 64]); returns 0 bits past the end (the
   /// caller bounds iteration by the out-of-band point count).
-  std::uint64_t get(unsigned n);
+  std::uint64_t get(unsigned n) {
+    if (n <= kMaxPeek) {
+      const std::uint64_t v = peek(n);
+      skip(n);
+      return v;
+    }
+    const std::uint64_t hi = peek(32);
+    skip(32);
+    const std::uint64_t lo = peek(n - 32);
+    skip(n - 32);
+    return (hi << (n - 32)) | lo;
+  }
+
+  /// The next `n` bits (n in [0, 56]) without consuming them.
+  std::uint64_t peek(unsigned n) {
+    if (count_ < n) refill();
+    return (window_ >> 1) >> (63 - n);  // n == 0 reads 0 without a 64-bit shift
+  }
+
+  /// Consumes `n` bits; only after a peek of at least `n`.
+  void skip(unsigned n) {
+    window_ <<= n;
+    count_ -= n;
+  }
+
+  static constexpr unsigned kMaxPeek = 56;
 
  private:
-  const std::uint8_t* data_;
-  std::size_t len_bits_;
-  std::size_t pos_ = 0;
+  /// Tops the window up to at least kMaxPeek valid bits.
+  void refill() {
+    if (end_ - next_ < 8) {
+      refill_tail();
+      return;
+    }
+    std::uint64_t word;
+    std::memcpy(&word, next_, sizeof word);
+    if constexpr (std::endian::native == std::endian::little) word = __builtin_bswap64(word);
+    window_ |= word >> count_;
+    next_ += (63 - count_) >> 3;
+    count_ |= 56;
+  }
+  void refill_tail();
+
+  std::uint64_t window_ = 0;  ///< next stream bits, MSB first
+  unsigned count_ = 0;        ///< valid bits at the top of window_
+  // The first byte not yet wholly in the window.  The window's bits
+  // below count_ are zero or this byte's leading bits, so a refill may
+  // OR the byte in again.
+  const std::uint8_t* next_;
+  const std::uint8_t* end_;
 };
 
 /// An immutable, fully-encoded chunk. Reads need no lock.
@@ -129,8 +180,12 @@ class ChunkCursor {
   explicit ChunkCursor(const SealedChunk& chunk)
       : ChunkCursor(chunk.bytes.data(), chunk.bytes.size(), chunk.count) {}
 
+  /// Decodes up to `max` points into `ts` / `values`; returns how many
+  /// it decoded (0 once the chunk is exhausted, or when `max` is 0).
+  std::uint32_t read(std::int64_t* ts, double* values, std::uint32_t max);
+
   /// Decodes the next point; false when the chunk is exhausted.
-  bool next(Timestamp& ts, double& value);
+  bool next(Timestamp& ts, double& value) { return read(&ts.ns, &value, 1) != 0; }
 
  private:
   BitReader bits_;
@@ -138,9 +193,14 @@ class ChunkCursor {
   bool first_ = true;
   std::int64_t prev_ts_ = 0;
   std::int64_t prev_delta_ = 0;
-  double prev_value_ = 0.0;
+  std::uint64_t prev_bits_ = 0;  ///< previous value's bit pattern
   std::uint8_t window_lead_ = 0;
   std::uint8_t window_trail_ = 0;
+  // The previous value's scaled integer, when it was decoded in scaled
+  // mode at scale index scaled_k_ (else kNoScale).
+  std::int64_t scaled_ = 0;
+  unsigned scaled_k_ = kNoScale;
+  static constexpr unsigned kNoScale = 3;
 };
 
 }  // namespace ruru

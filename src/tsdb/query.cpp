@@ -1,8 +1,9 @@
 #include "tsdb/query.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
-#include <map>
+#include <utility>
 
 #include "tsdb/wal.hpp"
 
@@ -10,30 +11,78 @@ namespace ruru {
 
 namespace {
 
-/// Same arithmetic as the test oracle's summarize.  Sorting first makes the
-/// result independent of collection order, which is what lets the
-/// compressed engine match the uncompressed oracle bit for bit.
-AggregateResult summarize(std::vector<double>& values) {
-  AggregateResult r;
-  if (values.empty()) return r;
-  std::sort(values.begin(), values.end());
-  r.count = values.size();
-  r.min = values.front();
-  r.max = values.back();
-  double sum = 0.0;
-  for (const double v : values) sum += v;
-  r.mean = sum / static_cast<double>(values.size());
-  auto quantile = [&](double q) {
-    const double pos = q * static_cast<double>(values.size() - 1);
-    const std::size_t i = static_cast<std::size_t>(pos);
-    const double frac = pos - static_cast<double>(i);
-    if (i + 1 < values.size()) return values[i] * (1.0 - frac) + values[i + 1] * frac;
-    return values[i];
-  };
-  r.median = quantile(0.5);
-  r.p95 = quantile(0.95);
-  r.p99 = quantile(0.99);
-  return r;
+constexpr double from_order_key(std::uint64_t k) {
+  return std::bit_cast<double>(k ^ (((k >> 63) - 1) | (std::uint64_t{1} << 63)));
+}
+
+constexpr unsigned kDigitBits = 11;
+constexpr unsigned kDigits = 6;  // ceil(64 / kDigitBits)
+constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+/// Below this many items std::sort beats the radix passes' fixed cost.
+constexpr std::size_t kRadixMin = 256;
+
+/// Sorts `items` ascending by the u64 `key(item)`.  LSD radix with
+/// 11-bit digits; one histogram pass counts every digit, and a digit
+/// every key shares is not scattered.  Small inputs take std::sort.
+/// Items with equal keys may land in any order.
+template <typename T, typename Key>
+void sort_by_key(std::vector<T>& items, Key key) {
+  const std::size_t n = items.size();
+  if (n < kRadixMin || n > std::numeric_limits<std::uint32_t>::max()) {
+    std::sort(items.begin(), items.end(),
+              [&](const T& a, const T& b) { return key(a) < key(b); });
+    return;
+  }
+  std::vector<std::uint32_t> hist(kDigits * kBuckets, 0);
+  for (const T& item : items) {
+    const std::uint64_t k = key(item);
+    for (unsigned d = 0; d < kDigits; ++d) {
+      ++hist[d * kBuckets + ((k >> (d * kDigitBits)) & (kBuckets - 1))];
+    }
+  }
+  std::vector<T> tmp(n);
+  T* src = items.data();
+  T* dst = tmp.data();
+  const std::uint64_t first = key(items[0]);
+  for (unsigned d = 0; d < kDigits; ++d) {
+    const unsigned shift = d * kDigitBits;
+    std::uint32_t* offset = &hist[d * kBuckets];
+    if (offset[(first >> shift) & (kBuckets - 1)] == n) continue;
+    std::uint32_t sum = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) sum += std::exchange(offset[b], sum);
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[offset[(key(src[i]) >> shift) & (kBuckets - 1)]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  if (src != items.data()) items.swap(tmp);
+}
+
+/// A value's order key tagged with the bucket (window) it falls in.
+struct BucketedKey {
+  std::uint64_t bucket;
+  std::uint64_t key;
+};
+
+/// Groups `points` by bucket and calls emit(bucket, stats) once per
+/// bucket, in ascending bucket order.
+template <typename Emit>
+void summarize_buckets(std::vector<BucketedKey>& points, Emit&& emit) {
+  sort_by_key(points, [](const BucketedKey& p) { return p.bucket; });
+  std::vector<std::uint64_t> keys;
+  for (std::size_t i = 0; i < points.size();) {
+    const std::uint64_t bucket = points[i].bucket;
+    keys.clear();
+    for (; i < points.size() && points[i].bucket == bucket; ++i) keys.push_back(points[i].key);
+    emit(bucket, summarize(keys));
+  }
+}
+
+/// Appends the order keys of a batch of values.
+void append_keys(std::vector<std::uint64_t>& keys, const double* values, std::size_t n) {
+  const std::size_t at = keys.size();
+  keys.resize(at + n);
+  for (std::size_t i = 0; i < n; ++i) keys[at + i] = order_key(values[i]);
 }
 
 double pick_stat(const AggregateResult& r, const std::string& stat) {
@@ -53,7 +102,58 @@ constexpr std::int64_t floor_div(std::int64_t x, std::int64_t w) {
 constexpr Timestamp kScanMin{std::numeric_limits<std::int64_t>::min()};
 constexpr Timestamp kScanMax{std::numeric_limits<std::int64_t>::max()};
 
+/// Points decoded per ChunkCursor::read: one default-sized chunk.
+constexpr std::uint32_t kScanBatch = 512;
+
+/// Decodes one chunk in batches and calls fn(ts, values, n) with its
+/// points in [t0, t1).  A chunk wholly inside the range skips the test.
+template <typename Fn>
+void scan_chunk(ChunkCursor cursor, std::uint32_t count, std::int64_t min_ts,
+                std::int64_t max_ts, Timestamp t0, Timestamp t1, Fn& fn) {
+  if (count == 0 || max_ts < t0.ns || min_ts >= t1.ns) return;
+  const bool inside = min_ts >= t0.ns && max_ts < t1.ns;
+  std::int64_t ts[kScanBatch];
+  double values[kScanBatch];
+  while (std::uint32_t n = cursor.read(ts, values, kScanBatch)) {
+    if (!inside) {
+      std::uint32_t kept = 0;
+      for (std::uint32_t i = 0; i < n; ++i) {
+        ts[kept] = ts[i];
+        values[kept] = values[i];
+        kept += (ts[i] >= t0.ns && ts[i] < t1.ns) ? 1 : 0;
+      }
+      n = kept;
+    }
+    if (n != 0) fn(ts, values, n);
+  }
+}
+
 }  // namespace
+
+AggregateResult summarize(std::vector<std::uint64_t>& keys) {
+  AggregateResult r;
+  if (keys.empty()) return r;
+  sort_by_key(keys, [](std::uint64_t k) { return k; });
+  const std::size_t n = keys.size();
+  auto value = [&](std::size_t i) { return from_order_key(keys[i]); };
+  r.count = n;
+  r.min = value(0);
+  r.max = value(n - 1);
+  double sum = 0.0;
+  for (const std::uint64_t k : keys) sum += from_order_key(k);
+  r.mean = sum / static_cast<double>(n);
+  auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(n - 1);
+    const std::size_t i = static_cast<std::size_t>(pos);
+    const double frac = pos - static_cast<double>(i);
+    if (i + 1 < n) return value(i) * (1.0 - frac) + value(i + 1) * frac;
+    return value(i);
+  };
+  r.median = quantile(0.5);
+  r.p95 = quantile(0.95);
+  r.p99 = quantile(0.99);
+  return r;
+}
 
 TsdbEngine::TsdbEngine(TsdbOptions options) : options_(options) {
   const std::size_t want = std::clamp<std::size_t>(options_.shards, 1, 256);
@@ -119,21 +219,11 @@ void TsdbEngine::snapshot_series(SeriesId sid, SeriesSnapshot& out) const {
 
 template <typename Fn>
 void TsdbEngine::scan(const SeriesSnapshot& snap, Timestamp t0, Timestamp t1, Fn&& fn) {
-  Timestamp ts;
-  double value = 0.0;
   for (const auto& chunk : snap.sealed) {
-    if (chunk->count == 0 || chunk->max_ts < t0.ns || chunk->min_ts >= t1.ns) continue;
-    ChunkCursor cursor(*chunk);
-    while (cursor.next(ts, value)) {
-      if (ts.ns >= t0.ns && ts.ns < t1.ns) fn(ts, value);
-    }
+    scan_chunk(ChunkCursor(*chunk), chunk->count, chunk->min_ts, chunk->max_ts, t0, t1, fn);
   }
-  if (snap.open_count > 0 && snap.open_max >= t0.ns && snap.open_min < t1.ns) {
-    ChunkCursor cursor(snap.open_bytes.data(), snap.open_bytes.size(), snap.open_count);
-    while (cursor.next(ts, value)) {
-      if (ts.ns >= t0.ns && ts.ns < t1.ns) fn(ts, value);
-    }
-  }
+  scan_chunk(ChunkCursor(snap.open_bytes.data(), snap.open_bytes.size(), snap.open_count),
+             snap.open_count, snap.open_min, snap.open_max, t0, t1, fn);
 }
 
 bool TsdbEngine::matching_series(const std::string& measurement, const TagSet& filter,
@@ -153,16 +243,18 @@ bool TsdbEngine::matching_series(const std::string& measurement, const TagSet& f
 
 AggregateResult TsdbEngine::aggregate(const std::string& measurement, const TagSet& filter,
                                       Timestamp t0, Timestamp t1) const {
-  std::vector<double> values;
+  std::vector<std::uint64_t> keys;
   std::vector<SeriesId> sids;
   if (matching_series(measurement, filter, sids)) {
     SeriesSnapshot snap;
     for (const SeriesId sid : sids) {
       snapshot_series(sid, snap);
-      scan(snap, t0, t1, [&](Timestamp, double v) { values.push_back(v); });
+      scan(snap, t0, t1, [&](const std::int64_t*, const double* values, std::size_t n) {
+        append_keys(keys, values, n);
+      });
     }
   }
-  return summarize(values);
+  return summarize(keys);
 }
 
 std::vector<WindowResult> TsdbEngine::window_aggregate(const std::string& measurement,
@@ -170,57 +262,73 @@ std::vector<WindowResult> TsdbEngine::window_aggregate(const std::string& measur
                                                        Timestamp t1, Duration step) const {
   std::vector<WindowResult> out;
   if (step.ns <= 0 || t1.ns <= t0.ns) return out;
-  const auto nwindows = static_cast<std::size_t>((t1.ns - t0.ns + step.ns - 1) / step.ns);
-  std::vector<std::vector<double>> buckets(nwindows);
+  // Unsigned offsets from t0: t1 - t0 may exceed INT64_MAX.
+  const auto origin = static_cast<std::uint64_t>(t0.ns);
+  const auto width = static_cast<std::uint64_t>(step.ns);
+  std::vector<BucketedKey> points;
   std::vector<SeriesId> sids;
   if (matching_series(measurement, filter, sids)) {
     SeriesSnapshot snap;
+    // Consecutive points mostly share a window: divide only on leaving it.
+    std::uint64_t window = 0;
+    std::uint64_t window_lo = 0;
     for (const SeriesId sid : sids) {
       snapshot_series(sid, snap);
-      scan(snap, t0, t1, [&](Timestamp ts, double v) {
-        buckets[static_cast<std::size_t>((ts.ns - t0.ns) / step.ns)].push_back(v);
+      scan(snap, t0, t1, [&](const std::int64_t* ts, const double* values, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t off = static_cast<std::uint64_t>(ts[i]) - origin;
+          if (off - window_lo >= width) {
+            window = off / width;
+            window_lo = window * width;
+          }
+          points.push_back(BucketedKey{window, order_key(values[i])});
+        }
       });
     }
   }
-  for (std::size_t i = 0; i < nwindows; ++i) {
-    if (buckets[i].empty()) continue;
-    WindowResult w;
-    w.window_start = Timestamp{t0.ns + static_cast<std::int64_t>(i) * step.ns};
-    w.stats = summarize(buckets[i]);
-    out.push_back(std::move(w));
-  }
+  summarize_buckets(points, [&](std::uint64_t window, const AggregateResult& stats) {
+    out.push_back(WindowResult{Timestamp{static_cast<std::int64_t>(origin + window * width)},
+                               stats});
+  });
   return out;
 }
 
 std::vector<GroupResult> TsdbEngine::group_by(const std::string& measurement,
                                               const std::string& tag_key, const TagSet& filter,
                                               Timestamp t0, Timestamp t1) const {
-  // std::map keys keep the oracle's ordering: groups sorted by tag value.
-  std::map<std::string, std::vector<double>> groups;
+  std::vector<GroupResult> out;
   std::vector<SeriesId> sids;
   const std::uint32_t key_id = index_.find_name(tag_key);
-  if (key_id != SeriesIndex::kNotFound && matching_series(measurement, filter, sids)) {
-    SeriesSnapshot snap;
-    for (const SeriesId sid : sids) {
-      const std::uint32_t vid = index_.tag_value_id(sid, key_id);
-      if (vid == SeriesIndex::kNotFound) continue;
-      snapshot_series(sid, snap);
+  if (key_id == SeriesIndex::kNotFound || !matching_series(measurement, filter, sids)) return out;
+  // Series grouped by interned tag-value id; names are compared once, at output.
+  std::vector<std::pair<std::uint32_t, SeriesId>> by_value;
+  for (const SeriesId sid : sids) {
+    const std::uint32_t vid = index_.tag_value_id(sid, key_id);
+    if (vid != SeriesIndex::kNotFound) by_value.emplace_back(vid, sid);
+  }
+  std::sort(by_value.begin(), by_value.end());
+  SeriesSnapshot snap;
+  std::vector<std::uint64_t> keys;
+  for (std::size_t i = 0; i < by_value.size();) {
+    const std::uint32_t vid = by_value[i].first;
+    bool resident = false;
+    keys.clear();
+    for (; i < by_value.size() && by_value[i].first == vid; ++i) {
+      snapshot_series(by_value[i].second, snap);
       // The oracle creates the (possibly empty) group for every
       // resident series; series whose points were fully dropped by
       // retention are not resident there, so skip empty snapshots.
       if (snap.sealed.empty() && snap.open_count == 0) continue;
-      auto& values = groups[std::string(index_.name(vid))];
-      scan(snap, t0, t1, [&](Timestamp, double v) { values.push_back(v); });
+      resident = true;
+      scan(snap, t0, t1, [&](const std::int64_t*, const double* values, std::size_t n) {
+        append_keys(keys, values, n);
+      });
     }
+    if (resident) out.push_back(GroupResult{std::string(index_.name(vid)), summarize(keys)});
   }
-  std::vector<GroupResult> out;
-  out.reserve(groups.size());
-  for (auto& [value, samples] : groups) {
-    GroupResult g;
-    g.tag_value = value;
-    g.stats = summarize(samples);
-    out.push_back(std::move(g));
-  }
+  // The oracle's std::map order: groups sorted by tag value.
+  std::sort(out.begin(), out.end(),
+            [](const GroupResult& a, const GroupResult& b) { return a.tag_value < b.tag_value; });
   return out;
 }
 
@@ -239,15 +347,23 @@ std::size_t TsdbEngine::downsample(const std::string& src, const std::string& ds
   };
   std::vector<Out> pending;
   SeriesSnapshot snap;
+  std::vector<BucketedKey> points;
+  // Window indices are signed; flipping the sign bit keeps their order as u64.
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
   for (const SeriesId sid : sids) {
     snapshot_series(sid, snap);
-    std::map<std::int64_t, std::vector<double>> buckets;
+    points.clear();
     scan(snap, kScanMin, kScanMax,
-         [&](Timestamp ts, double v) { buckets[floor_div(ts.ns, window.ns)].push_back(v); });
-    for (auto& [idx, values] : buckets) {
-      const AggregateResult r = summarize(values);
+         [&](const std::int64_t* ts, const double* values, std::size_t n) {
+           for (std::size_t i = 0; i < n; ++i) {
+             const auto idx = static_cast<std::uint64_t>(floor_div(ts[i], window.ns));
+             points.push_back(BucketedKey{idx ^ kSign, order_key(values[i])});
+           }
+         });
+    summarize_buckets(points, [&](std::uint64_t bucket, const AggregateResult& r) {
+      const auto idx = static_cast<std::int64_t>(bucket ^ kSign);
       pending.push_back(Out{sid, Timestamp{idx * window.ns}, pick_stat(r, stat)});
-    }
+    });
   }
   // resolve_like re-keys the source tags under `dst` without strings.
   for (const auto& o : pending) append(index_.resolve_like(o.src_sid, dst), o.time, o.value);

@@ -16,14 +16,17 @@
 //     then decodes lock-free.  Ingest never serializes behind a scan.
 //
 // Query model
-//   aggregate / window_aggregate / group_by / downsample iterate the
-//   compressed chunks directly (decode-on-scan; no materialized
+//   aggregate / window_aggregate / group_by / downsample decode the
+//   compressed chunks a batch at a time (decode-on-scan; no materialized
 //   vector<double> per series) and reproduce the uncompressed test
-//   oracle's results exactly (tests/oracle): summarize() sorts before
-//   accumulating, so results are independent of decode order and the
-//   parity suite can compare bit for bit.
+//   oracle's results exactly (tests/oracle): summarize() orders each
+//   group's values by IEEE-754 totalOrder before accumulating, so results
+//   are independent of decode order, and that order is std::sort's
+//   wherever std::sort's is defined, so the parity suite can compare bit
+//   for bit.  window_aggregate buckets per point, not per window.
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -39,6 +42,19 @@
 namespace ruru {
 
 class Wal;
+
+/// IEEE-754 totalOrder as an unsigned key: -NaN < -inf < ... < -0.0 <
+/// +0.0 < ... < +inf < +NaN.  Where std::sort orders doubles at all (no
+/// NaN, no mix of -0.0 and +0.0) the two orders agree.
+constexpr std::uint64_t order_key(double v) {
+  const auto b = std::bit_cast<std::uint64_t>(v);
+  return b ^ ((0 - (b >> 63)) | (std::uint64_t{1} << 63));
+}
+
+/// count/min/max/mean/median/p95/p99 of the values whose order keys are
+/// `keys`, accumulated in ascending key order (the oracle's sorted
+/// order).  Sorts `keys` in place.
+AggregateResult summarize(std::vector<std::uint64_t>& keys);
 
 struct TsdbOptions {
   /// Series shards (rounded up to a power of two, clamped to [1, 256]).
@@ -159,7 +175,8 @@ class TsdbEngine {
 
   void snapshot_series(SeriesId sid, SeriesSnapshot& out) const;
 
-  /// Invokes fn(ts, value) for every point of `snap` with t0 <= ts < t1.
+  /// Invokes fn(ts, values, n) with batches of the points of `snap` with
+  /// t0 <= ts < t1.
   template <typename Fn>
   static void scan(const SeriesSnapshot& snap, Timestamp t0, Timestamp t1, Fn&& fn);
 

@@ -79,6 +79,95 @@ TEST(BitStream, ReadPastEndYieldsZeros) {
   EXPECT_EQ(r.get(1), 0u);
 }
 
+/// The per-byte reader the word reader replaced, kept as the reference
+/// the BitStream tests compare against.
+class ByteReader {
+ public:
+  ByteReader(const std::uint8_t* data, std::size_t len) : data_(data), len_bits_(len * 8) {}
+
+  std::uint64_t get(unsigned n) {
+    std::uint64_t out = 0;
+    while (n > 0) {
+      if (pos_ >= len_bits_) return n < 64 ? out << n : 0;  // past the end: zero-fill
+      const unsigned bit_in_byte = static_cast<unsigned>(pos_ & 7);
+      const unsigned avail = 8 - bit_in_byte;
+      const unsigned take = n < avail ? n : avail;
+      const std::uint8_t byte = data_[pos_ >> 3];
+      const std::uint64_t chunk =
+          (static_cast<std::uint64_t>(byte) >> (avail - take)) & ((1ull << take) - 1);
+      out = (take < 64 ? out << take : 0) | chunk;
+      pos_ += take;
+      n -= take;
+    }
+    return out;
+  }
+
+ private:
+  const std::uint8_t* data_;
+  std::size_t len_bits_;
+  std::size_t pos_ = 0;
+};
+
+std::vector<std::uint8_t> random_bytes(Pcg32& rng, std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.bounded(256));
+  return bytes;
+}
+
+TEST(BitStream, EveryWidthAtEveryOffsetMatchesPerByteReader) {
+  // Every start bit of buffers 0-24 bytes long (each bit offset 0-7 of
+  // every byte, and past the end), then every width 0-64: fields that
+  // end in the last byte, fields straddling the end (zero-filled), and
+  // buffers on both sides of the 8-byte word refill.  The trailing reads
+  // check the reader's position after each field.
+  Pcg32 rng(0xB175);
+  for (std::size_t len = 0; len <= 24; ++len) {
+    const std::vector<std::uint8_t> bytes = random_bytes(rng, len);
+    for (unsigned start = 0; start < len * 8 + 16; ++start) {
+      for (unsigned width = 0; width <= 64; ++width) {
+        BitReader r(bytes.data(), bytes.size());
+        ByteReader ref(bytes.data(), bytes.size());
+        for (unsigned left = start; left > 0;) {
+          const unsigned step = left < 57 ? left : 57;
+          ASSERT_EQ(r.get(step), ref.get(step));
+          left -= step;
+        }
+        ASSERT_EQ(r.get(width), ref.get(width))
+            << "len " << len << " start " << start << " width " << width;
+        ASSERT_EQ(r.get(13), ref.get(13)) << "len " << len << " start " << start;
+        ASSERT_EQ(r.get(64), ref.get(64)) << "len " << len << " start " << start;
+      }
+    }
+  }
+}
+
+TEST(BitStream, RandomWidthSequencesMatchPerByteReader) {
+  Pcg32 rng(0x5EED);
+  for (int trial = 0; trial < 2'000; ++trial) {
+    const std::vector<std::uint8_t> bytes = random_bytes(rng, rng.bounded(40));
+    BitReader r(bytes.data(), bytes.size());
+    ByteReader ref(bytes.data(), bytes.size());
+    std::size_t read = 0;
+    while (read < bytes.size() * 8 + 128) {
+      const unsigned width = rng.bounded(65);
+      ASSERT_EQ(r.get(width), ref.get(width)) << "trial " << trial << " at bit " << read;
+      read += width;
+    }
+  }
+}
+
+TEST(BitStream, PeekDoesNotConsume) {
+  const std::uint8_t bytes[] = {0b1011'0011, 0x5A};
+  BitReader r(bytes, sizeof bytes);
+  EXPECT_EQ(r.peek(0), 0u);
+  EXPECT_EQ(r.peek(4), 0b1011u);
+  EXPECT_EQ(r.peek(4), 0b1011u);
+  r.skip(3);
+  EXPECT_EQ(r.peek(5), 0b10011u);
+  EXPECT_EQ(r.get(13), 0b1'0011'0101'1010u);
+  EXPECT_EQ(r.peek(56), 0u);  // past the end
+}
+
 TEST(ChunkCodec, SinglePoint) { expect_roundtrip({{123'456'789, 42.5}}); }
 
 TEST(ChunkCodec, RegularCadenceDecimalValues) {
@@ -184,6 +273,59 @@ TEST(ChunkCodec, FuzzScaledIntegerFriendlyWalks) {
     }
     expect_roundtrip(points);
   }
+}
+
+TEST(ChunkCodec, BatchedReadsMatchPointReads) {
+  // The engine decodes a batch at a time; any split of the stream into
+  // batches must give the points next() gives, across every value mode.
+  Pcg32 rng(0xBA7C);
+  ChunkWriter w;
+  std::vector<Point> points;
+  std::int64_t ts = 0;
+  double ms = 100.0;
+  for (int i = 0; i < 3'000; ++i) {
+    ts += 500'000 + rng.bounded(1'000'000);
+    switch (rng.bounded(4)) {
+      case 0: break;                                                        // repeat
+      case 1: ms = static_cast<double>(80'000'000 + rng.bounded(220'000'000)) / 1e6; break;
+      case 2: ms = rng.uniform(-1e3, 1e3); break;                          // XOR
+      default: ms += 0.25; break;
+    }
+    points.push_back({ts, ms});
+    w.append(Timestamp::from_ns(ts), ms);
+  }
+  const auto sealed = w.seal();
+  for (const std::uint32_t batch : {1u, 2u, 7u, 64u, 511u, 512u, 5'000u}) {
+    ChunkCursor cursor(*sealed);
+    std::vector<std::int64_t> got_ts(batch);
+    std::vector<double> got(batch);
+    std::size_t at = 0;
+    while (const std::uint32_t n = cursor.read(got_ts.data(), got.data(), batch)) {
+      for (std::uint32_t i = 0; i < n; ++i, ++at) {
+        ASSERT_LT(at, points.size());
+        EXPECT_EQ(got_ts[i], points[at].ts) << "batch " << batch << " point " << at;
+        EXPECT_EQ(bits_of(got[i]), bits_of(points[at].value))
+            << "batch " << batch << " point " << at;
+      }
+    }
+    EXPECT_EQ(at, points.size()) << "batch " << batch;
+  }
+}
+
+TEST(ChunkCodec, LargeScaledIntegersStayExact) {
+  // Scaled integers up to the 9e15 limit, neighbours switching scale:
+  // the decoder reuses the previous point's integer only at the same
+  // scale and recomputes it otherwise, exact either way.
+  std::vector<Point> points;
+  const std::int64_t base = std::int64_t{1} << 50;
+  for (std::int64_t i = -6; i <= 6; ++i) {
+    points.push_back({i, static_cast<double>(base + i * 3)});
+    points.push_back({i, static_cast<double>(base + i * 3) / 1e3});
+    points.push_back({i, static_cast<double>(-base - i) / 1e6});
+    points.push_back({i, 8.9e15 - static_cast<double>(i)});
+    points.push_back({i, (8.9e15 - static_cast<double>(i * 7)) / 1e3});
+  }
+  expect_roundtrip(points);
 }
 
 TEST(ChunkWriter, SealEmptyReturnsNull) {

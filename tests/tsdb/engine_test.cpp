@@ -11,6 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -222,6 +227,202 @@ TEST(EngineParity, RetentionToEmptyAndRefill) {
   // Refill after the wipe: series identities revive cleanly.
   load_random(legacy, engine, 4, 500, 10'000);
   expect_parity(legacy, engine, Timestamp{0}, Timestamp{1'000'000});
+}
+
+TEST(EngineParity, LargeGroupsAndWindowsMatch) {
+  // 120k points: every aggregate and group and most windows hold
+  // thousands of values, so they are ordered by the radix sort rather
+  // than the small-input std::sort, and must still match the oracle.
+  TimeSeriesDb legacy;
+  TsdbEngine engine;
+  load_random(legacy, engine, 0xB16, 120'000, 1'000'000);
+  expect_parity(legacy, engine, Timestamp{0}, Timestamp{1'000'000});
+}
+
+/// The oracle's arithmetic on std::sort's order.
+AggregateResult sorted_stats(std::vector<double> values) {
+  AggregateResult r;
+  if (values.empty()) return r;
+  std::sort(values.begin(), values.end());
+  r.count = values.size();
+  r.min = values.front();
+  r.max = values.back();
+  double sum = 0.0;
+  for (const double v : values) sum += v;
+  r.mean = sum / static_cast<double>(values.size());
+  auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(values.size() - 1);
+    const std::size_t i = static_cast<std::size_t>(pos);
+    const double frac = pos - static_cast<double>(i);
+    if (i + 1 < values.size()) return values[i] * (1.0 - frac) + values[i + 1] * frac;
+    return values[i];
+  };
+  r.median = quantile(0.5);
+  r.p95 = quantile(0.95);
+  r.p99 = quantile(0.99);
+  return r;
+}
+
+AggregateResult summarize_values(const std::vector<double>& values) {
+  std::vector<std::uint64_t> keys;
+  for (const double v : values) keys.push_back(order_key(v));
+  return summarize(keys);
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Bit-for-bit: a NaN mean from inf + -inf must be the same NaN.
+void expect_same_bits(const AggregateResult& a, const AggregateResult& b, const std::string& what) {
+  EXPECT_EQ(a.count, b.count) << what;
+  EXPECT_EQ(bits_of(a.min), bits_of(b.min)) << what;
+  EXPECT_EQ(bits_of(a.max), bits_of(b.max)) << what;
+  EXPECT_EQ(bits_of(a.mean), bits_of(b.mean)) << what;
+  EXPECT_EQ(bits_of(a.median), bits_of(b.median)) << what;
+  EXPECT_EQ(bits_of(a.p95), bits_of(b.p95)) << what;
+  EXPECT_EQ(bits_of(a.p99), bits_of(b.p99)) << what;
+}
+
+TEST(Summarize, MatchesStdSortOnEitherSideOfTheCutoff) {
+  // Below a fixed size summarize() sorts with std::sort, above it with
+  // the radix sort; both must accumulate in std::sort's order.
+  // Negatives, subnormals, +-inf, +0.0 and repeats; no NaN and no -0.0,
+  // where std::sort's order is undefined or arbitrary.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  Pcg32 rng(0x50F7);
+  for (const std::size_t n : {1u, 2u, 3u, 100u, 255u, 256u, 257u, 1'000u, 4'096u, 100'000u}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<double> values(n);
+      for (double& v : values) {
+        switch (rng.bounded(8)) {
+          case 0: v = rng.uniform(-1e6, 1e6); break;
+          case 1: v = tiny * static_cast<double>(rng.bounded(1000)); break;  // subnormal or +0.0
+          case 2: v = -tiny * static_cast<double>(1 + rng.bounded(1000)); break;
+          case 3: v = rng.chance(0.5) ? inf : -inf; break;
+          case 4: v = static_cast<double>(rng.bounded(5)) - 2.5; break;         // repeats
+          case 5:  // any normal magnitude
+            v = std::ldexp(rng.uniform(1.0, 2.0), static_cast<int>(rng.bounded(2000)) - 1000);
+            break;
+          default: v = static_cast<double>(80'000'000 + rng.bounded(220'000'000)) / 1e6; break;
+        }
+      }
+      // Trial 0 without infinities, so the mean stays finite.
+      if (trial == 0) {
+        std::replace_if(values.begin(), values.end(), [](double v) { return std::isinf(v); }, 1.5);
+      }
+      expect_same_bits(summarize_values(values), sorted_stats(values),
+                       "n " + std::to_string(n) + " trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST(Summarize, NegativeZeroSortsBeforePositiveZero) {
+  // std::sort leaves -0.0 and +0.0 in arbitrary relative order; the
+  // totalOrder key puts every -0.0 first.
+  for (const std::size_t n : {4u, 1'000u}) {
+    std::vector<double> values;
+    for (std::size_t i = 0; i < n; ++i) values.push_back(i % 2 == 0 ? 0.0 : -0.0);
+    const AggregateResult r = summarize_values(values);
+    EXPECT_EQ(r.count, n);
+    EXPECT_TRUE(std::signbit(r.min)) << n;
+    EXPECT_FALSE(std::signbit(r.max)) << n;
+    EXPECT_EQ(r.mean, 0.0);
+  }
+  const AggregateResult r = summarize_values({0.0, -0.0, 1.0, -0.0, 0.0});
+  EXPECT_TRUE(std::signbit(r.min));
+  EXPECT_EQ(r.max, 1.0);
+  EXPECT_FALSE(std::signbit(r.median));  // sorted: -0, -0, +0, +0, 1
+}
+
+TEST(Summarize, NanSortsByTotalOrder) {
+  // -NaN sorts below -inf and +NaN above +inf; the stats that read only
+  // ordinary values stay ordinary.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  AggregateResult r = summarize_values({3.0, nan, 1.0, 2.0});
+  EXPECT_EQ(r.count, 4u);
+  EXPECT_EQ(r.min, 1.0);
+  EXPECT_TRUE(std::isnan(r.max));
+  EXPECT_TRUE(std::isnan(r.mean));
+  EXPECT_EQ(r.median, 2.5);  // between 2.0 and 3.0
+  EXPECT_TRUE(std::isnan(r.p99));
+
+  r = summarize_values({2.0, nan, 1.0, -nan, 3.0, -std::numeric_limits<double>::infinity()});
+  EXPECT_TRUE(std::isnan(r.min) && std::signbit(r.min));
+  EXPECT_TRUE(std::isnan(r.max) && !std::signbit(r.max));
+  EXPECT_EQ(r.median, 1.5);  // sorted: -NaN, -inf, 1, 2, 3, NaN
+
+  // The engine returns the same through the chunk codec.
+  TsdbEngine engine;
+  const SeriesId sid = engine.series("m", TagSet{});
+  std::int64_t t = 0;
+  for (const double v : {2.0, nan, 1.0, -nan, 3.0, -std::numeric_limits<double>::infinity()}) {
+    engine.append(sid, Timestamp{t++}, v);
+  }
+  expect_same_bits(engine.aggregate("m", TagSet{}, Timestamp{0}, Timestamp{t}), r, "engine");
+}
+
+/// A window computed the slow way: index and start in 128-bit arithmetic.
+struct ExpectedWindow {
+  std::int64_t start;
+  std::vector<double> values;
+};
+
+using TimedValues = std::vector<std::pair<std::int64_t, double>>;
+
+std::vector<ExpectedWindow> brute_force_windows(const TimedValues& points, std::int64_t t0,
+                                                std::int64_t t1, std::int64_t step) {
+  std::map<__int128, std::vector<double>> by_index;
+  for (const auto& [ts, v] : points) {
+    if (ts < t0 || ts >= t1) continue;
+    by_index[(static_cast<__int128>(ts) - t0) / step].push_back(v);
+  }
+  std::vector<ExpectedWindow> out;
+  for (auto& [index, values] : by_index) {
+    out.push_back({static_cast<std::int64_t>(t0 + index * step), values});
+  }
+  return out;
+}
+
+void expect_windows(const TimedValues& points, std::int64_t t0, std::int64_t t1,
+                    std::int64_t step) {
+  // Negative and non-negative times go to two series: append's time
+  // partitioning is only defined while one series spans at most
+  // INT64_MAX and stays a partition (600 s) above INT64_MIN.
+  TsdbEngine engine;
+  const SeriesId neg = engine.series("m", TagSet{}.add("sign", "-"));
+  const SeriesId pos = engine.series("m", TagSet{}.add("sign", "+"));
+  for (const auto& [ts, v] : points) engine.append(ts < 0 ? neg : pos, Timestamp{ts}, v);
+  const auto got =
+      engine.window_aggregate("m", TagSet{}, Timestamp{t0}, Timestamp{t1}, Duration{step});
+  const auto want = brute_force_windows(points, t0, t1, step);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].window_start.ns, want[i].start) << "window " << i;
+    expect_same_bits(got[i].stats, sorted_stats(want[i].values), "window " + std::to_string(i));
+  }
+}
+
+TEST(EngineWindows, WholePositiveRangeAtOneNanosecondCostsPerPoint) {
+  // 2^63 - 1 one-ns windows over a 3-point store: the answer is the 3
+  // occupied windows, without storage for the empty ones.
+  const TimedValues points = {
+      {5, 1.0}, {1'000'000'000, 2.0}, {std::numeric_limits<std::int64_t>::max() - 1, 3.0}};
+  expect_windows(points, 0, std::numeric_limits<std::int64_t>::max(), 1);
+}
+
+TEST(EngineWindows, WholeTimelineAtOneHourStepHasCorrectStarts) {
+  // t1 - t0 overflows int64 here; window indices and starts do not.
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kHour = 3'600'000'000'000;
+  const TimedValues points = {{kMin + kHour, 1.0},     {kMin + kHour + 1, 2.0},
+                              {kMin + 2 * kHour - 1, 3.0}, {-kHour - 1, 4.0},
+                              {-1, 5.0},              {0, 6.0},
+                              {kHour - 1, 7.0},       {kHour, 8.0},
+                              {kMax / 2, 9.0},        {kMax - kHour, 10.0},
+                              {kMax - 1, 11.0},       {kMax, 12.0}};
+  expect_windows(points, kMin, kMax, kHour);
+  expect_windows(points, kMin + 17, kMax - 17, kHour);
 }
 
 TEST(EngineStorage, CompressionBeatsRawOnSteadyCadence) {
