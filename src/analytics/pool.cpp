@@ -67,15 +67,15 @@ void EnrichmentPool::worker_main(std::size_t index) {
   std::vector<EnrichedSample> enriched;
   enriched.reserve(kMaxLatencyBatch);
   // Sharded inbox: when every worker can own at least one fan-in lane,
-  // worker w consumes only lanes where lane % threads == w via
-  // recv_shard — uncontended SPSC pops, and each flow (RSS-pinned to one
-  // publisher lane) stays on one worker, in order.  With one thread, or
-  // more threads than lanes (a sharded worker would own none and idle),
-  // all workers share one scan of every lane.
+  // worker w consumes only lanes where lane % threads == w — uncontended
+  // SPSC pops, and each flow (RSS-pinned to one publisher lane) stays on
+  // one worker, in order.  With one thread, or more threads than lanes
+  // (a sharded worker would own none and idle), every worker receives as
+  // shard 0 of 1: one shared scan of every lane.
   const bool sharded = thread_count_ > 1 && source_->lanes() >= thread_count_;
+  const std::size_t nshards = sharded ? thread_count_ : 1;
   while (true) {
-    auto msg = sharded ? source_->recv_shard(index, thread_count_)
-                       : source_->recv();  // blocking; nullopt == closed and drained
+    auto msg = source_->recv_shard(index, nshards);  // blocking; nullopt == closed and drained
     if (!msg) break;
     // A batch with no traced samples short-circuits on the message's
     // trace_id flag; per-sample work below only runs for traced batches.

@@ -207,8 +207,6 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
       } else {
         cfg.pin_cpus = std::move(v.value());
       }
-    } else if (key == "storage.per_sample") {
-      status = set_bool(cfg.tsdb_store_samples);
     } else if (key == "storage.downsample_window_s") {
       status = set_seconds(cfg.downsample_window);
     } else if (key == "storage.downsample_stat") {

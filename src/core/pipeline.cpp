@@ -13,6 +13,81 @@
 
 namespace ruru {
 
+namespace {
+
+/// A stage counter: its registry name and the StatCell it reads in the
+/// stage's stats struct.  Each table below names every counter of one
+/// struct exactly once; register_metrics() and summary() both walk it.
+template <typename Stats>
+struct StageCounter {
+  const char* name;
+  StatCell Stats::*cell;
+};
+
+constexpr StageCounter<NicStats> kNicCounters[] = {
+    {"nic.rx_packets", &NicStats::rx_packets},
+    {"nic.rx_bytes", &NicStats::rx_bytes},
+    {"nic.dropped_no_mbuf", &NicStats::dropped_no_mbuf},
+    {"nic.dropped_queue_full", &NicStats::dropped_queue_full},
+    {"nic.dropped_oversize", &NicStats::dropped_oversize},
+    {"nic.dropped_misrouted", &NicStats::dropped_misrouted},
+};
+
+constexpr StageCounter<WorkerStats> kWorkerCounters[] = {
+    {"worker.polls", &WorkerStats::polls},
+    {"worker.empty_polls", &WorkerStats::empty_polls},
+    {"worker.packets", &WorkerStats::packets},
+    {"worker.bytes", &WorkerStats::bytes},
+    {"worker.fast_path_skips", &WorkerStats::fast_path_skips},
+    {"worker.inflow_consumed", &WorkerStats::inflow_consumed},
+    {"worker.batch_flushes", &WorkerStats::batch_flushes},
+    {"worker.batched_samples", &WorkerStats::batched_samples},
+    // Vector-loop lane accounting (all zero under the scalar oracle loop).
+    {"worker.lane_skip", &WorkerStats::lane_skip},
+    {"worker.lane_established", &WorkerStats::lane_established},
+    {"worker.lane_need_parse", &WorkerStats::lane_need_parse},
+    {"worker.lane_revalidated", &WorkerStats::lane_revalidated},
+    {"worker.classify_reprobes", &WorkerStats::classify_reprobes},
+};
+
+/// WorkerStats::parse_status, indexed by ParseStatus value.
+constexpr std::array<const char*, 5> kParseNames = {
+    "worker.parse_ok", "worker.parse_not_ip", "worker.parse_not_tcp", "worker.parse_fragment",
+    "worker.parse_malformed"};
+
+constexpr StageCounter<TrackerStats> kTrackerCounters[] = {
+    {"tracker.syn_seen", &TrackerStats::syn_seen},
+    {"tracker.syn_retransmissions", &TrackerStats::syn_retransmissions},
+    {"tracker.synack_seen", &TrackerStats::synack_seen},
+    {"tracker.synack_unmatched", &TrackerStats::synack_unmatched},
+    {"tracker.ack_matched", &TrackerStats::ack_matched},
+    {"tracker.rst_seen", &TrackerStats::rst_seen},
+    {"tracker.samples_emitted", &TrackerStats::samples_emitted},
+    {"tracker.table_drops", &TrackerStats::table_drops},
+};
+
+constexpr StageCounter<FlowTableStats> kFlowTableCounters[] = {
+    {"flow.inserts", &FlowTableStats::inserts},
+    {"flow.hits", &FlowTableStats::hits},
+    {"flow.evictions_stale", &FlowTableStats::evictions_stale},
+    {"flow.insert_failures", &FlowTableStats::insert_failures},
+    {"flow.erases", &FlowTableStats::erases},
+    {"flow.tag_mismatches", &FlowTableStats::tag_mismatches},
+    {"flow.sweep_evictions", &FlowTableStats::sweep_evictions},
+};
+
+/// In-flow RTT kernel counters (all zero with flow.inflow_rtt off).
+constexpr StageCounter<InflowStats> kInflowCounters[] = {
+    {"flow.ts_matches", &InflowStats::ts_matches},
+    {"flow.ts_ring_evictions", &InflowStats::ts_ring_evictions},
+    {"flow.ts_wraps", &InflowStats::ts_wraps},
+    {"flow.inflow_samples", &InflowStats::inflow_samples},
+    {"flow.one_sided_samples", &InflowStats::one_sided_samples},
+    {"flow.inflow_rate_limited", &InflowStats::rate_limited},
+};
+
+}  // namespace
+
 RuruPipeline::RuruPipeline(PipelineConfig config, const GeoDatabase& geo, const AsDatabase& as,
                            const Geo6Database* geo6)
     : config_(config),
@@ -40,8 +115,8 @@ RuruPipeline::RuruPipeline(PipelineConfig config, const GeoDatabase& geo, const 
         " enrichers)");
   }
   // Flight recorder first: stages constructed below take handles into
-  // its rings.  With sample_n == 0 (or -DRURU_TRACE=0) every handle is
-  // inert and the NIC never stamps.
+  // its rings.  With sample_n == 0 every handle is inert and the NIC
+  // never stamps.
   tracer_.configure(obs::TracerConfig{config_.trace_sample_n, config_.trace_ring_capacity});
   // One timebase for bus stamps, queue-wait, transit and trace spans:
   // the calibrated TSC clock (anchored to steady_clock's epoch, so the
@@ -144,11 +219,9 @@ RuruPipeline::RuruPipeline(PipelineConfig config, const GeoDatabase& geo, const 
     if (snapshot_timer_) {
       watchdog_->add_stage("snapshot", [this] { return snapshot_timer_->ticks(); });
     }
-    if (config_.tsdb_store_samples) {
-      watchdog_->add_stage(
-          "tsdb", [this] { return tsdb_.points_written(); },
-          [this] { return static_cast<double>(enrichment_sub_->pending()); });
-    }
+    watchdog_->add_stage(
+        "tsdb", [this] { return tsdb_.points_written(); },
+        [this] { return static_cast<double>(enrichment_sub_->pending()); });
     watchdog_->set_report_sink([this](const obs::WatchdogReport& r) {
       // The flight record itself goes through the logger (the stall
       // summary line was already logged by the watchdog) ...
@@ -171,18 +244,11 @@ void RuruPipeline::register_metrics() {
   // NIC counters merge the whole-port shard and every producer-lane
   // shard (stats_totals), so the numbers stay truthful under both
   // single-producer and sharded injection topologies.
-  metrics_.register_counter_fn("nic.rx_packets",
-                               [this] { return nic_->stats_totals().rx_packets.load(); });
-  metrics_.register_counter_fn("nic.rx_bytes",
-                               [this] { return nic_->stats_totals().rx_bytes.load(); });
-  metrics_.register_counter_fn("nic.dropped_no_mbuf",
-                               [this] { return nic_->stats_totals().dropped_no_mbuf.load(); });
-  metrics_.register_counter_fn("nic.dropped_queue_full",
-                               [this] { return nic_->stats_totals().dropped_queue_full.load(); });
-  metrics_.register_counter_fn("nic.dropped_oversize",
-                               [this] { return nic_->stats_totals().dropped_oversize.load(); });
-  metrics_.register_counter_fn("nic.dropped_misrouted",
-                               [this] { return nic_->stats_totals().dropped_misrouted.load(); });
+  for (const auto& c : kNicCounters) {
+    metrics_.register_counter_fn(c.name, [this, cell = c.cell] {
+      return (nic_->stats_totals().*cell).load();
+    });
+  }
   metrics_.register_counter_fn("mempool.alloc_failures",
                                [this] { return pool_.alloc_failures(); });
   for (std::uint16_t q = 0; q < config_.num_queues; ++q) {
@@ -191,125 +257,36 @@ void RuruPipeline::register_metrics() {
     });
   }
 
-  // Worker / tracker / flow-table counters, summed across queues.
-  const auto sum_workers = [this](auto field) {
-    return [this, field]() -> std::uint64_t {
-      std::uint64_t total = 0;
-      for (const auto& w : workers_) total += field(*w);
-      return total;
-    };
+  // Worker / tracker / flow-table / in-flow counters, summed across
+  // queues.  `of` picks the stats struct a table's cells live in.
+  const auto sum_workers = [this](const auto& table, auto of) {
+    for (const auto& c : table) {
+      metrics_.register_counter_fn(c.name, [this, of, cell = c.cell] {
+        std::uint64_t total = 0;
+        for (const auto& w : workers_) total += (of(*w).*cell).load();
+        return total;
+      });
+    }
   };
-  metrics_.register_counter_fn(
-      "worker.polls", sum_workers([](const QueueWorker& w) { return w.stats().polls.load(); }));
-  metrics_.register_counter_fn("worker.empty_polls", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().empty_polls.load();
-                               }));
-  metrics_.register_counter_fn("worker.packets", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().packets.load();
-                               }));
-  metrics_.register_counter_fn(
-      "worker.bytes", sum_workers([](const QueueWorker& w) { return w.stats().bytes.load(); }));
-  metrics_.register_counter_fn("worker.fast_path_skips", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().fast_path_skips.load();
-                               }));
-  metrics_.register_counter_fn("worker.batch_flushes", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().batch_flushes.load();
-                               }));
-  metrics_.register_counter_fn("worker.batched_samples", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().batched_samples.load();
-                               }));
-  static constexpr std::array<const char*, 5> kParseNames = {
-      "worker.parse_ok", "worker.parse_not_ip", "worker.parse_not_tcp",
-      "worker.parse_fragment", "worker.parse_malformed"};
+  sum_workers(kWorkerCounters, [](const QueueWorker& w) -> const WorkerStats& {
+    return w.stats();
+  });
   for (std::size_t i = 0; i < kParseNames.size(); ++i) {
-    metrics_.register_counter_fn(kParseNames[i], sum_workers([i](const QueueWorker& w) {
-                                   return w.stats().parse_status[i].load();
-                                 }));
+    metrics_.register_counter_fn(kParseNames[i], [this, i] {
+      std::uint64_t total = 0;
+      for (const auto& w : workers_) total += w->stats().parse_status[i].load();
+      return total;
+    });
   }
-  metrics_.register_counter_fn("tracker.syn_seen", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().syn_seen.load();
-                               }));
-  metrics_.register_counter_fn("tracker.syn_retransmissions",
-                               sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().syn_retransmissions.load();
-                               }));
-  metrics_.register_counter_fn("tracker.synack_seen", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().synack_seen.load();
-                               }));
-  metrics_.register_counter_fn("tracker.synack_unmatched", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().synack_unmatched.load();
-                               }));
-  metrics_.register_counter_fn("tracker.ack_matched", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().ack_matched.load();
-                               }));
-  metrics_.register_counter_fn("tracker.rst_seen", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().rst_seen.load();
-                               }));
-  metrics_.register_counter_fn("tracker.samples_emitted", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().samples_emitted.load();
-                               }));
-  metrics_.register_counter_fn("tracker.table_drops", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker_stats().table_drops.load();
-                               }));
-  metrics_.register_counter_fn("flow.inserts", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().inserts.load();
-                               }));
-  metrics_.register_counter_fn("flow.hits", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().hits.load();
-                               }));
-  metrics_.register_counter_fn("flow.evictions_stale", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().evictions_stale.load();
-                               }));
-  metrics_.register_counter_fn("flow.insert_failures", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().insert_failures.load();
-                               }));
-  metrics_.register_counter_fn("flow.erases", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().erases.load();
-                               }));
-  metrics_.register_counter_fn("flow.tag_mismatches", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().tag_mismatches.load();
-                               }));
-  metrics_.register_counter_fn("flow.sweep_evictions", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().table().stats().sweep_evictions.load();
-                               }));
-  // In-flow RTT kernel counters (all zero with flow.inflow_rtt off).
-  metrics_.register_counter_fn("flow.ts_matches", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().inflow_stats().ts_matches.load();
-                               }));
-  metrics_.register_counter_fn("flow.ts_ring_evictions", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().inflow_stats().ts_ring_evictions.load();
-                               }));
-  metrics_.register_counter_fn("flow.ts_wraps", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().inflow_stats().ts_wraps.load();
-                               }));
-  metrics_.register_counter_fn("flow.inflow_samples", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().inflow_stats().inflow_samples.load();
-                               }));
-  metrics_.register_counter_fn("flow.one_sided_samples", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().inflow_stats().one_sided_samples.load();
-                               }));
-  metrics_.register_counter_fn("flow.inflow_rate_limited", sum_workers([](const QueueWorker& w) {
-                                 return w.tracker().inflow_stats().rate_limited.load();
-                               }));
-  metrics_.register_counter_fn("worker.inflow_consumed", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().inflow_consumed.load();
-                               }));
-  // Vector-loop lane accounting (all zero under the scalar oracle loop).
-  metrics_.register_counter_fn("worker.lane_skip", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().lane_skip.load();
-                               }));
-  metrics_.register_counter_fn("worker.lane_established", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().lane_established.load();
-                               }));
-  metrics_.register_counter_fn("worker.lane_need_parse", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().lane_need_parse.load();
-                               }));
-  metrics_.register_counter_fn("worker.lane_revalidated", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().lane_revalidated.load();
-                               }));
-  metrics_.register_counter_fn("worker.classify_reprobes", sum_workers([](const QueueWorker& w) {
-                                 return w.stats().classify_reprobes.load();
-                               }));
+  sum_workers(kTrackerCounters, [](const QueueWorker& w) -> const TrackerStats& {
+    return w.tracker_stats();
+  });
+  sum_workers(kFlowTableCounters, [](const QueueWorker& w) -> const FlowTableStats& {
+    return w.tracker().table().stats();
+  });
+  sum_workers(kInflowCounters, [](const QueueWorker& w) -> const InflowStats& {
+    return w.tracker().inflow_stats();
+  });
   metrics_.register_gauge_fn("flow.entries", [this] {
     std::size_t total = 0;
     for (const auto& w : workers_) total += w->tracker().table().size();
@@ -483,33 +460,29 @@ void RuruPipeline::wire_sinks() {
       // ("inflow_ms" / "onesided_ms", tagged with which half) and stay
       // out of the aggregators and anomaly detectors, whose models
       // (pair RTT means, completion counts) assume handshake triples.
-      if (config_.tsdb_store_samples) {
-        tsdb_.append(route_series(s)[0], s.completed_at, s.total.to_ms());
-      }
+      tsdb_.append(route_series(s)[0], s.completed_at, s.total.to_ms());
       return;
     }
     city_pairs_.add(s);
     as_pairs_.add(s);
     arcs_.add(s);
 
-    if (config_.tsdb_store_samples) {
-      const std::array<SeriesId, 3> sids = route_series(s);
-      // TSC timebase for both the write histogram and the tsdb span —
-      // the same clock every other stage stamps with.
-      const bool timed = tsdb_write_hist_.attached();
-      const bool traced = sink_trace_.attached() && s.trace_id != 0;
-      Timestamp t0{};
-      if (timed || traced) t0 = obs::trace_clock().now();
-      tsdb_.append(sids[0], s.completed_at, s.total.to_ms());
-      tsdb_.append(sids[1], s.completed_at, s.internal.to_ms());
-      tsdb_.append(sids[2], s.completed_at, s.external.to_ms());
-      if (timed || traced) {
-        const Timestamp t1 = obs::trace_clock().now();
-        if (timed) tsdb_write_hist_.record_shared(t1 - t0);
-        if (traced) {
-          sink_trace_.span(obs::TraceStage::kTsdb, s.trace_id, t0.ns, (t1 - t0).ns,
-                           3 /*points*/, s.queue_id);
-        }
+    const std::array<SeriesId, 3> sids = route_series(s);
+    // TSC timebase for both the write histogram and the tsdb span — the
+    // same clock every other stage stamps with.
+    const bool timed = tsdb_write_hist_.attached();
+    const bool traced = sink_trace_.attached() && s.trace_id != 0;
+    Timestamp t0{};
+    if (timed || traced) t0 = obs::trace_clock().now();
+    tsdb_.append(sids[0], s.completed_at, s.total.to_ms());
+    tsdb_.append(sids[1], s.completed_at, s.internal.to_ms());
+    tsdb_.append(sids[2], s.completed_at, s.external.to_ms());
+    if (timed || traced) {
+      const Timestamp t1 = obs::trace_clock().now();
+      if (timed) tsdb_write_hist_.record_shared(t1 - t0);
+      if (traced) {
+        sink_trace_.span(obs::TraceStage::kTsdb, s.trace_id, t0.ns, (t1 - t0).ns, 3 /*points*/,
+                         s.queue_id);
       }
     }
 
@@ -679,34 +652,13 @@ PipelineSummary RuruPipeline::summary() const {
   // snapshot thread exports, merged once. One source of truth.
   const obs::MetricsSnapshot snap = metrics_.snapshot(Timestamp{});
   PipelineSummary s;
-  s.nic.rx_packets = snap.counter_or("nic.rx_packets");
-  s.nic.rx_bytes = snap.counter_or("nic.rx_bytes");
-  s.nic.dropped_no_mbuf = snap.counter_or("nic.dropped_no_mbuf");
-  s.nic.dropped_queue_full = snap.counter_or("nic.dropped_queue_full");
-  s.nic.dropped_oversize = snap.counter_or("nic.dropped_oversize");
-  s.nic.dropped_misrouted = snap.counter_or("nic.dropped_misrouted");
+  for (const auto& c : kNicCounters) s.nic.*c.cell = snap.counter_or(c.name);
+  for (const auto& c : kWorkerCounters) s.workers.*c.cell = snap.counter_or(c.name);
+  for (std::size_t i = 0; i < kParseNames.size(); ++i) {
+    s.workers.parse_status[i] = snap.counter_or(kParseNames[i]);
+  }
+  for (const auto& c : kTrackerCounters) s.tracker.*c.cell = snap.counter_or(c.name);
   s.mempool_alloc_failures = snap.counter_or("mempool.alloc_failures");
-  s.workers.polls = snap.counter_or("worker.polls");
-  s.workers.empty_polls = snap.counter_or("worker.empty_polls");
-  s.workers.packets = snap.counter_or("worker.packets");
-  s.workers.bytes = snap.counter_or("worker.bytes");
-  s.workers.fast_path_skips = snap.counter_or("worker.fast_path_skips");
-  s.workers.inflow_consumed = snap.counter_or("worker.inflow_consumed");
-  s.workers.batch_flushes = snap.counter_or("worker.batch_flushes");
-  s.workers.batched_samples = snap.counter_or("worker.batched_samples");
-  s.workers.parse_status[0] = snap.counter_or("worker.parse_ok");
-  s.workers.parse_status[1] = snap.counter_or("worker.parse_not_ip");
-  s.workers.parse_status[2] = snap.counter_or("worker.parse_not_tcp");
-  s.workers.parse_status[3] = snap.counter_or("worker.parse_fragment");
-  s.workers.parse_status[4] = snap.counter_or("worker.parse_malformed");
-  s.tracker.syn_seen = snap.counter_or("tracker.syn_seen");
-  s.tracker.syn_retransmissions = snap.counter_or("tracker.syn_retransmissions");
-  s.tracker.synack_seen = snap.counter_or("tracker.synack_seen");
-  s.tracker.synack_unmatched = snap.counter_or("tracker.synack_unmatched");
-  s.tracker.ack_matched = snap.counter_or("tracker.ack_matched");
-  s.tracker.rst_seen = snap.counter_or("tracker.rst_seen");
-  s.tracker.samples_emitted = snap.counter_or("tracker.samples_emitted");
-  s.tracker.table_drops = snap.counter_or("tracker.table_drops");
   const std::uint64_t alerts_published = snap.counter_or("bus.alerts_published");
   s.bus_alerts_published = alerts_published;
   s.bus_published = snap.counter_or("bus.published") - alerts_published;  // latency samples

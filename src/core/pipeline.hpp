@@ -116,7 +116,6 @@ struct PipelineConfig {
   PeriodicConfig periodic;
 
   // --- storage ---
-  bool tsdb_store_samples = true;  ///< write per-sample points to the TSDB
   /// TSDB engine series shards (rounded to a power of two; ingest locks
   /// only the owning shard, so writers and queries don't serialize).
   std::size_t tsdb_shards = 8;
@@ -160,8 +159,7 @@ struct PipelineConfig {
   /// 1-in-N packet-lifecycle sampling: flows whose RSS hash selects get
   /// a trace id at the NIC and their spans recorded at every stage
   /// (nic → worker → flow → bus → enrich → tsdb).  0 = tracing off; the
-  /// hot path then carries no trace work at all (and with
-  /// -DRURU_TRACE=0 the hooks are not even compiled).
+  /// hot path then carries no trace work at all.
   std::uint32_t trace_sample_n = 0;
   /// Events kept per stage ring (rounded up to a power of two).
   std::size_t trace_ring_capacity = 4096;
@@ -254,6 +252,8 @@ class RuruPipeline {
   }
 
   [[nodiscard]] const SimNic& nic() const { return *nic_; }
+  /// Queue `q`'s worker: its stats, tracker and flow table.
+  [[nodiscard]] const QueueWorker& worker(std::uint16_t q) const { return *workers_[q]; }
   /// Worker lcore launcher (pin success/failure counters live here).
   [[nodiscard]] const LcoreLauncher& lcores() const { return lcores_; }
   [[nodiscard]] const EnrichmentPool& enrichment() const { return *enrichment_; }

@@ -16,16 +16,9 @@ namespace {
 // id); the TSC read happens only for the 1-in-N selected packets.
 // Cost with sampling off: one predictable branch.
 inline void stamp_trace(Mbuf& m, std::uint32_t hash, std::uint32_t sample_n) {
-  if constexpr (!obs::kTraceCompiled) {
-    (void)m;
-    (void)hash;
-    (void)sample_n;
-    return;
-  } else {
-    if (sample_n == 0) return;
-    m.trace_id = obs::trace_id_for(hash, sample_n);
-    if (m.trace_id != 0) m.ingest_ns = obs::trace_now_ns();
-  }
+  if (sample_n == 0) return;
+  m.trace_id = obs::trace_id_for(hash, sample_n);
+  if (m.trace_id != 0) m.ingest_ns = obs::trace_now_ns();
 }
 
 }  // namespace

@@ -3,10 +3,11 @@
 //
 // The bus publish path must take zero locks — a publisher's offer is a
 // CAS ticket claim on the ring plus two relaxed counter bumps, never a
-// mutex, and a full queue drops instead of blocking.  Blocking receive
-// is built from the non-blocking ring ops with a spin -> yield -> sleep
-// backoff instead of a condition variable, so no mutex exists anywhere
-// on the path.
+// mutex, and a full queue drops instead of blocking.  The queue itself
+// only offers non-blocking ops; the bus's one blocking receive loop
+// (Subscription::recv_shard) is built from them with the spin -> yield
+// -> sleep Backoff below instead of a condition variable, so no mutex
+// exists anywhere on the path.
 
 #include <atomic>
 #include <chrono>
@@ -63,26 +64,13 @@ class BusQueue {
   /// Non-blocking pop. Lock-free.
   std::optional<T> try_pop() { return ring_.try_pop(); }
 
-  /// Blocking pop; nullopt only after close() with the ring drained.
-  std::optional<T> pop() {
-    detail::Backoff backoff;
-    while (true) {
-      if (auto v = ring_.try_pop()) return v;
-      if (closed_.load(std::memory_order_acquire)) {
-        // A push that claimed its ticket before close() may still be
-        // publishing; ring_.size() already counts it, so only an empty
-        // ring means drained.
-        if (ring_.size() == 0) return std::nullopt;
-      }
-      backoff.pause();
-    }
-  }
-
-  /// After close(): pushes fail, pops drain the backlog then report
-  /// nullopt. Idempotent; wakes pollers by virtue of them polling.
+  /// After close(): pushes fail, pops drain the backlog.  Idempotent;
+  /// wakes pollers by virtue of them polling.
   void close() { closed_.store(true, std::memory_order_release); }
 
   [[nodiscard]] bool closed() const { return closed_.load(std::memory_order_acquire); }
+  /// Counts a push that claimed its ring ticket before close() even while
+  /// it is still publishing, so closed() with size() == 0 means drained.
   [[nodiscard]] std::size_t size() const { return ring_.size(); }
 
  private:

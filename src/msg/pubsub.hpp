@@ -16,22 +16,27 @@
 // Fan-in lanes: with N worker lcores all flushing latency batches into
 // one subscriber, a single MPMC ring makes every worker CAS-contend on
 // one ticket cursor.  A PubSocket constructed with `fanin_lanes = N`
-// gives every subscription N per-lane queues plus one shared queue;
-// worker w publishes via publish_lane(w, ...) and is the ONLY producer
-// on lane w's ring, so its ticket CAS never loses — fan-in scales with
-// worker count instead of serialising on one cursor.  Consumers
-// round-robin the lanes (fair, MPMC-safe for a consumer pool), which
+// gives every subscription one queue list: N per-lane queues, then the
+// shared queue last.  Worker w publishes via publish_lane(w, ...) and is
+// the ONLY producer on lane w's ring, so its ticket CAS never loses —
+// fan-in scales with worker count instead of serialising on one cursor.
+// Any lane past the list's lanes lands on the shared queue; publish()
+// (alerts, control-plane traffic) is exactly such a lane.  Consumers
+// round-robin their queues (fair, MPMC-safe for a consumer pool), which
 // preserves per-worker FIFO ordering; cross-lane order is unspecified,
-// exactly like N ZeroMQ publishers into one SUB.  publish() (alerts,
-// control-plane traffic) uses the shared queue and needs no lane.
+// exactly like N ZeroMQ publishers into one SUB.  Every receive — plain
+// or sharded, blocking or not — runs the one sharded receive body; a
+// plain receive is shard 0 of 1.
 //
 // Counters are denominated in *samples*, not messages: publish() takes
 // the number of samples the message carries (a batched latency frame
 // carries many), so delivered/dropped/published stay truthful when the
 // feed batches and an HWM drop loses a whole batch.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -44,23 +49,24 @@ namespace ruru {
 
 class Subscription {
  public:
-  /// `lanes` per-publisher-lane queues are created in addition to the
-  /// shared queue; each gets the full `hwm` (the HWM bounds per-worker
-  /// backlog, so one stalled consumer loses batches lane by lane).
+  /// `lanes` per-publisher-lane queues, then the shared queue; each gets
+  /// the full `hwm` (the HWM bounds per-worker backlog, so one stalled
+  /// consumer loses batches lane by lane).
   Subscription(std::string topic_prefix, std::size_t hwm, std::size_t lanes = 0)
-      : prefix_(std::move(topic_prefix)), queue_(hwm) {
-    lanes_.reserve(lanes);
-    for (std::size_t i = 0; i < lanes; ++i) {
-      lanes_.push_back(std::make_unique<BusQueue<Message>>(hwm));
+      : prefix_(std::move(topic_prefix)) {
+    queues_.reserve(lanes + 1);
+    for (std::size_t i = 0; i <= lanes; ++i) {
+      queues_.push_back(std::make_unique<BusQueue<Message>>(hwm));
     }
   }
 
-  /// Blocking receive; nullopt after close() with every queue drained.
-  /// MPMC-safe: a consumer pool can share one subscription.
-  std::optional<Message> recv();
-  /// Non-blocking receive; scans every lane (round-robin start for
-  /// fairness) then the shared queue.
-  std::optional<Message> try_recv();
+  /// Blocking receive over every queue; nullopt after close() with every
+  /// queue drained.  MPMC-safe: a consumer pool can share one
+  /// subscription.  Shard 0 of 1.
+  std::optional<Message> recv() { return recv_shard(0, 1); }
+  /// Non-blocking receive over every queue (round-robin start for
+  /// fairness).  Shard 0 of 1.
+  std::optional<Message> try_recv() { return try_recv_shard(0, 1); }
 
   /// Sharded receive for a consumer pool: worker `shard` of `nshards`
   /// consumes only the lanes where lane % nshards == shard (shard 0
@@ -68,14 +74,15 @@ class Subscription {
   /// consumer, so lane pops are uncontended SPSC instead of MPMC, and a
   /// flow's samples — RSS-pinned to one publisher lane — are handled by
   /// one worker in publish order instead of being scattered across the
-  /// pool.  Returns nullopt once this shard's queues are closed and
-  /// drained.  With nshards <= 1 or a lane-less subscription this is
-  /// exactly recv()/try_recv().
+  /// pool.  The blocking form returns nullopt once this shard's queues
+  /// are closed and drained (at once for a shard that owns none).  A
+  /// lane-less subscription has nothing to shard: every shard receives
+  /// as shard 0 of 1.
   std::optional<Message> recv_shard(std::size_t shard, std::size_t nshards);
   std::optional<Message> try_recv_shard(std::size_t shard, std::size_t nshards);
 
   [[nodiscard]] const std::string& prefix() const { return prefix_; }
-  [[nodiscard]] std::size_t lanes() const { return lanes_.size(); }
+  [[nodiscard]] std::size_t lanes() const { return queues_.size() - 1; }
   /// Samples lost to the HWM (whole batches count all their samples).
   [[nodiscard]] std::uint64_t dropped() const {
     return dropped_.load(std::memory_order_relaxed);
@@ -91,35 +98,29 @@ class Subscription {
 
  private:
   friend class PubSocket;
-  /// `samples`: how many samples `m` carries (counter weight).
-  /// Shares frames either way — no byte copy. Mutex-free.
-  bool offer(const Message& m, std::uint64_t samples) { return offer_to(queue_, m, samples); }
-  /// Lane-targeted offer: lands on lane `lane`'s queue (single producer
-  /// per lane by contract -> uncontended ticket CAS).  A lane index past
-  /// what this subscription was built with falls back to the shared
-  /// queue, so publish_lane is safe against mixed-topology subscribers.
-  bool offer_lane(std::size_t lane, const Message& m, std::uint64_t samples) {
-    return offer_to(lane < lanes_.size() ? *lanes_[lane] : queue_, m, samples);
-  }
-  bool offer_to(BusQueue<Message>& q, const Message& m, std::uint64_t samples) {
-    const bool ok = q.try_push(m);
-    if (ok) {
-      delivered_.fetch_add(samples, std::memory_order_relaxed);
-    } else {
-      dropped_.fetch_add(samples, std::memory_order_relaxed);
-    }
+  /// Lands `m` on lane `lane`'s queue (single producer per lane by
+  /// contract -> uncontended ticket CAS).  A lane past this
+  /// subscription's lanes lands on the shared queue, so publish_lane is
+  /// safe against mixed-topology subscribers.  `samples`: how many
+  /// samples `m` carries (counter weight).  Shares frames — no byte
+  /// copy.  Mutex-free.
+  bool offer(std::size_t lane, const Message& m, std::uint64_t samples) {
+    const bool ok = queues_[std::min(lane, lanes())]->try_push(m);
+    (ok ? delivered_ : dropped_).fetch_add(samples, std::memory_order_relaxed);
     return ok;
   }
-  [[nodiscard]] bool closed_and_drained() const;
-  [[nodiscard]] bool shard_closed_and_drained(std::size_t shard, std::size_t nshards) const;
+
+  /// Every queue the shard owns is closed and empty: nothing more can
+  /// arrive for it.
+  [[nodiscard]] bool drained(std::size_t shard, std::size_t nshards) const;
 
   std::string prefix_;
-  BusQueue<Message> queue_;  ///< shared (lane-less publish) queue
-  /// Per-publisher-lane queues; unique_ptr because BusQueue is pinned.
-  std::vector<std::unique_ptr<BusQueue<Message>>> lanes_;
+  /// Per-publisher-lane queues, then the shared queue; unique_ptr because
+  /// BusQueue is pinned.
+  std::vector<std::unique_ptr<BusQueue<Message>>> queues_;
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> dropped_{0};
-  /// Round-robin receive cursor (fairness across lanes, shared by a
+  /// Round-robin receive cursor (fairness across queues, shared by a
   /// consumer pool).
   std::atomic<std::uint64_t> rr_{0};
 };
@@ -140,17 +141,21 @@ class PubSocket {
   /// the list is append-only and published with a release CAS.
   std::shared_ptr<Subscription> subscribe(std::string topic_prefix, std::size_t hwm = 0);
 
-  /// Fan out to all matching subscriptions; never blocks and acquires
-  /// no mutex. `samples` is the number of samples the message
-  /// carries (weights the delivered/dropped/published counters). Returns
-  /// the number of subscribers that accepted the message.
-  std::size_t publish(const Message& message, std::uint64_t samples = 1);
+  /// Fan out to all matching subscriptions' shared queues; never blocks
+  /// and acquires no mutex.  Any number of threads may publish.
+  /// `samples` is the number of samples the message carries (weights the
+  /// delivered/dropped/published counters). Returns the number of
+  /// subscribers that accepted the message.
+  std::size_t publish(const Message& message, std::uint64_t samples = 1) {
+    return publish_lane(std::numeric_limits<std::size_t>::max(), message, samples);
+  }
 
   /// Lane-targeted publish: worker `lane`'s batches land on each
-  /// subscriber's lane-`lane` queue.  Contract: at most one thread
-  /// publishes on a given lane, which makes the ring's ticket CAS
-  /// uncontended — N workers fan in without sharing a cursor.  Same
-  /// no-block/no-mutex guarantees as publish().
+  /// subscriber's lane-`lane` queue (the shared queue for a lane past
+  /// its lanes).  Contract: at most one thread publishes on a given lane
+  /// below fanin_lanes(), which makes the ring's ticket CAS uncontended
+  /// — N workers fan in without sharing a cursor.  Same no-block/no-mutex
+  /// guarantees as publish().
   std::size_t publish_lane(std::size_t lane, const Message& message, std::uint64_t samples = 1);
 
   /// Install a clock (typically &obs::trace_clock()) before publishers

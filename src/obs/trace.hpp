@@ -6,15 +6,12 @@
 // The design constraint is the untraced hot path: workers poll tens
 // of thousands of bursts per second, so emission must cost nothing
 // when tracing is off and a handful of relaxed stores when it is on.
-// Three mechanisms stack to get there:
+// Two runtime mechanisms stack to get there:
 //
-//   1. Compile-time: building with -DRURU_TRACE=0 turns every emit
-//      into `if constexpr (false)` — the event structs and call sites
-//      vanish entirely.
-//   2. Runtime, per-stage: stages hold a TraceHandle, an inert
-//      pointer-sized handle (same idiom as obs::HistogramHandle).  A
-//      default-constructed handle compiles to one null check.
-//   3. Runtime, per-packet: trace ids are a pure function of the RSS
+//   1. Per-stage: stages hold a TraceHandle, an inert pointer-sized
+//      handle (same idiom as obs::HistogramHandle).  A default-
+//      constructed handle compiles to one null check.
+//   2. Per-packet: trace ids are a pure function of the RSS
 //      hash (`trace_id_for`), assigned at the NIC and re-derivable at
 //      any stage from data already in flight — so the wire codec is
 //      untouched and the per-packet test is one compare against an
@@ -38,13 +35,7 @@
 #include <utility>
 #include <vector>
 
-#ifndef RURU_TRACE
-#define RURU_TRACE 1
-#endif
-
 namespace ruru::obs {
-
-inline constexpr bool kTraceCompiled = RURU_TRACE != 0;
 
 /// Pipeline stage a span belongs to.  Order mirrors the packet's
 /// journey; the exporter maps each to a chrome://tracing track.
@@ -110,7 +101,6 @@ struct TraceEvent {
 /// Returns 0 (untraced) unless sampling is on and the hash selects.
 [[nodiscard]] inline std::uint32_t trace_id_for(std::uint32_t rss_hash,
                                                 std::uint32_t sample_n) {
-  if constexpr (!kTraceCompiled) return 0;
   if (sample_n == 0 || rss_hash == 0) return 0;
   return rss_hash % sample_n == 0 ? rss_hash : 0;
 }
@@ -170,24 +160,20 @@ class TraceRing {
 };
 
 /// Inert-handle wrapper a stage stores by value.  Default-constructed
-/// (or with tracing compiled out) every call is a no-op; attached, it
-/// forwards to the ring.  `shared` selects the locked emit path.
+/// every call is a no-op; attached, it forwards to the ring.  `shared`
+/// selects the locked emit path.
 class TraceHandle {
  public:
   TraceHandle() = default;
   explicit TraceHandle(TraceRing* ring, bool shared = false)
       : ring_(ring), shared_(shared) {}
 
-  [[nodiscard]] bool attached() const {
-    if constexpr (!kTraceCompiled) return false;
-    return ring_ != nullptr;
-  }
+  [[nodiscard]] bool attached() const { return ring_ != nullptr; }
 
   // Emission is const: it writes through the ring pointer, never to the
   // handle itself, so stages may hold the handle in const obs structs.
   void span(TraceStage stage, std::uint32_t trace_id, std::int64_t ts_ns,
             std::int64_t dur_ns, std::uint32_t arg = 0, std::uint16_t shard = 0) const {
-    if constexpr (!kTraceCompiled) return;
     if (ring_ == nullptr) return;
     TraceEvent e;
     e.ts_ns = ts_ns;
@@ -206,7 +192,6 @@ class TraceHandle {
 
   void instant(TraceStage stage, std::uint32_t trace_id, std::int64_t ts_ns,
                std::uint32_t arg = 0, std::uint16_t shard = 0) const {
-    if constexpr (!kTraceCompiled) return;
     if (ring_ == nullptr) return;
     TraceEvent e;
     e.ts_ns = ts_ns;
@@ -246,7 +231,7 @@ class Tracer {
   Tracer() = default;
 
   void configure(const TracerConfig& config);
-  [[nodiscard]] bool enabled() const { return kTraceCompiled && config_.sample_n != 0; }
+  [[nodiscard]] bool enabled() const { return config_.sample_n != 0; }
   [[nodiscard]] std::uint32_t sample_n() const { return config_.sample_n; }
 
   [[nodiscard]] std::uint32_t flow_trace_id(std::uint32_t rss_hash) const {

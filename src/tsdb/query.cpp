@@ -94,9 +94,10 @@ double pick_stat(const AggregateResult& r, const std::string& stat) {
   return r.mean;
 }
 
-/// Floor division for w > 0 (window/partition indices of negative times).
+/// Floor division for w > 0 (window/partition indices of negative
+/// times), defined over the whole int64 range.
 constexpr std::int64_t floor_div(std::int64_t x, std::int64_t w) {
-  return x >= 0 ? x / w : (x - w + 1) / w;
+  return x / w - (x % w < 0 ? 1 : 0);
 }
 
 constexpr Timestamp kScanMin{std::numeric_limits<std::int64_t>::min()};
@@ -183,13 +184,11 @@ void TsdbEngine::append(SeriesId sid, Timestamp time, double value) {
     std::lock_guard lock(sh.mu);
     SeriesStore& st = sh.find_or_create(sid);
     const std::int64_t part = options_.partition.ns;
-    if (st.open.count() == 0) {
-      st.partition_start = part > 0 ? floor_div(time.ns, part) * part : 0;
-    } else if (part > 0 &&
-               (time.ns < st.partition_start || time.ns - st.partition_start >= part)) {
+    const std::int64_t partition = part > 0 ? floor_div(time.ns, part) : 0;
+    if (st.open.count() != 0 && partition != st.partition) {
       if (auto sealed = st.open.seal()) st.sealed.push_back(std::move(sealed));
-      st.partition_start = floor_div(time.ns, part) * part;
     }
+    st.partition = partition;
     st.open.append(time, value);
     if (st.open.count() >= options_.chunk_points) {
       if (auto sealed = st.open.seal()) st.sealed.push_back(std::move(sealed));
@@ -362,7 +361,10 @@ std::size_t TsdbEngine::downsample(const std::string& src, const std::string& ds
          });
     summarize_buckets(points, [&](std::uint64_t bucket, const AggregateResult& r) {
       const auto idx = static_cast<std::int64_t>(bucket ^ kSign);
-      pending.push_back(Out{sid, Timestamp{idx * window.ns}, pick_stat(r, stat)});
+      // The one bucket whose aligned start lies below INT64_MIN starts there.
+      const std::int64_t start = idx == floor_div(kScanMin.ns, window.ns) ? kScanMin.ns
+                                                                           : idx * window.ns;
+      pending.push_back(Out{sid, Timestamp{start}, pick_stat(r, stat)});
     });
   }
   // resolve_like re-keys the source tags under `dst` without strings.
@@ -435,8 +437,7 @@ std::size_t TsdbEngine::enforce_retention(Timestamp now, Duration horizon,
             continue;
           }
           if (first && options_.partition.ns > 0) {
-            st->partition_start =
-                floor_div(ts.ns, options_.partition.ns) * options_.partition.ns;
+            st->partition = floor_div(ts.ns, options_.partition.ns);
           }
           first = false;
           st->open.append(ts, value);

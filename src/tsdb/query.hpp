@@ -139,7 +139,7 @@ class TsdbEngine {
  private:
   struct SeriesStore {
     ChunkWriter open;
-    std::int64_t partition_start = 0;
+    std::int64_t partition = 0;  ///< time-partition index of the open chunk
     std::vector<std::shared_ptr<const SealedChunk>> sealed;
   };
 

@@ -169,6 +169,16 @@ TEST(PipelineConfigFile, ShardInboxToggle) {
   EXPECT_EQ(threads.value().enrichment_threads, 4u);
 }
 
+TEST(PipelineConfigFile, PerSampleStorageToggle) {
+  // The toggle is gone: every enriched sample is written to the TSDB.
+  // The former key is refused by name in either spelling.
+  for (const char* text : {"[storage]\nper_sample = true\n", "[storage]\nper_sample = false\n"}) {
+    const auto r = pipeline_config_from_text(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_NE(r.error().find("storage.per_sample"), std::string::npos) << r.error();
+  }
+}
+
 TEST(PipelineConfigFile, LinkMeterKeys) {
   const auto r = pipeline_config_from_text("[meter]\nenabled = false\nwindow_s = 5\n");
   ASSERT_TRUE(r.ok()) << r.error();

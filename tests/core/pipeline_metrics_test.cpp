@@ -196,5 +196,134 @@ TEST_F(PipelineMetricsTest, PrometheusFileIsWrittenWhenPathSet) {
   std::remove(path.c_str());
 }
 
+/// A stage counter as this test expects it: registry name and the cell
+/// it must read.  Spelled out here, apart from the pipeline's own tables,
+/// so a dropped, misnamed or miswired table entry fails.
+template <typename Stats>
+using ExpectedCounters = std::vector<std::pair<std::string, StatCell Stats::*>>;
+
+TEST(PipelineCounters, EveryStageCounterAgreesWithItsStageStruct) {
+  const World world = scenario_world();
+  PipelineConfig cfg;
+  cfg.num_queues = 2;
+  cfg.enrichment_threads = 1;
+  cfg.inflow_rtt = true;
+  cfg.flow_table_capacity = 1 << 10;  // the SYN burst overflows it
+  RuruPipeline pipeline(cfg, world.geo, world.as);
+  auto model = scenarios::syn_flood(/*seed=*/13, /*benign_flows_per_sec=*/300.0,
+                                    /*flood_syns_per_sec=*/4000.0, Duration::from_sec(2.0),
+                                    Timestamp::from_sec(0.5), Duration::from_sec(1.0));
+  pipeline.start();
+  replay_scenario(pipeline, model);
+  pipeline.finish();
+
+  const obs::MetricsSnapshot snap = pipeline.metrics().snapshot(Timestamp{});
+  const PipelineSummary summary = pipeline.summary();
+  std::size_t names = 0;
+  std::size_t nonzero = 0;
+  // `want` is the stage struct's own value; the registry counter must
+  // match it, and so must `in_summary` when the summary carries it.
+  const auto check = [&](const std::string& name, std::uint64_t want,
+                         const StatCell* in_summary) {
+    SCOPED_TRACE(name);
+    ++names;
+    nonzero += want != 0 ? 1 : 0;
+    const std::uint64_t* got = snap.counter(name);
+    ASSERT_NE(got, nullptr) << "not registered";
+    EXPECT_EQ(*got, want);
+    if (in_summary != nullptr) {
+      EXPECT_EQ(in_summary->load(), want);
+    }
+  };
+  // Each entry of `table` against its cell summed over the workers (`of`
+  // picks a worker's struct), and against `in_summary`'s cell if given.
+  const auto check_summed = [&](const auto& table, auto of, const auto* in_summary) {
+    for (const auto& [name, cell] : table) {
+      std::uint64_t total = 0;
+      for (std::uint16_t q = 0; q < cfg.num_queues; ++q) {
+        total += (of(pipeline.worker(q)).*cell).load();
+      }
+      check(name, total, in_summary != nullptr ? &(in_summary->*cell) : nullptr);
+    }
+  };
+
+  const NicStats nic = pipeline.nic().stats_totals();
+  const ExpectedCounters<NicStats> nic_counters = {
+      {"nic.rx_packets", &NicStats::rx_packets},
+      {"nic.rx_bytes", &NicStats::rx_bytes},
+      {"nic.dropped_no_mbuf", &NicStats::dropped_no_mbuf},
+      {"nic.dropped_queue_full", &NicStats::dropped_queue_full},
+      {"nic.dropped_oversize", &NicStats::dropped_oversize},
+      {"nic.dropped_misrouted", &NicStats::dropped_misrouted}};
+  for (const auto& [name, cell] : nic_counters) {
+    check(name, (nic.*cell).load(), &(summary.nic.*cell));
+  }
+
+  check_summed(
+      ExpectedCounters<WorkerStats>{
+          {"worker.polls", &WorkerStats::polls},
+          {"worker.empty_polls", &WorkerStats::empty_polls},
+          {"worker.packets", &WorkerStats::packets},
+          {"worker.bytes", &WorkerStats::bytes},
+          {"worker.fast_path_skips", &WorkerStats::fast_path_skips},
+          {"worker.inflow_consumed", &WorkerStats::inflow_consumed},
+          {"worker.batch_flushes", &WorkerStats::batch_flushes},
+          {"worker.batched_samples", &WorkerStats::batched_samples},
+          {"worker.lane_skip", &WorkerStats::lane_skip},
+          {"worker.lane_established", &WorkerStats::lane_established},
+          {"worker.lane_need_parse", &WorkerStats::lane_need_parse},
+          {"worker.lane_revalidated", &WorkerStats::lane_revalidated},
+          {"worker.classify_reprobes", &WorkerStats::classify_reprobes}},
+      [](const QueueWorker& w) -> const WorkerStats& { return w.stats(); }, &summary.workers);
+  const std::vector<std::string> parse_names = {"worker.parse_ok", "worker.parse_not_ip",
+                                                "worker.parse_not_tcp", "worker.parse_fragment",
+                                                "worker.parse_malformed"};
+  for (std::size_t i = 0; i < parse_names.size(); ++i) {
+    std::uint64_t total = 0;
+    for (std::uint16_t q = 0; q < cfg.num_queues; ++q) {
+      total += pipeline.worker(q).stats().parse_status[i].load();
+    }
+    check(parse_names[i], total, &summary.workers.parse_status[i]);
+  }
+  check_summed(
+      ExpectedCounters<TrackerStats>{
+          {"tracker.syn_seen", &TrackerStats::syn_seen},
+          {"tracker.syn_retransmissions", &TrackerStats::syn_retransmissions},
+          {"tracker.synack_seen", &TrackerStats::synack_seen},
+          {"tracker.synack_unmatched", &TrackerStats::synack_unmatched},
+          {"tracker.ack_matched", &TrackerStats::ack_matched},
+          {"tracker.rst_seen", &TrackerStats::rst_seen},
+          {"tracker.samples_emitted", &TrackerStats::samples_emitted},
+          {"tracker.table_drops", &TrackerStats::table_drops}},
+      [](const QueueWorker& w) -> const TrackerStats& { return w.tracker_stats(); },
+      &summary.tracker);
+  check_summed(
+      ExpectedCounters<FlowTableStats>{
+          {"flow.inserts", &FlowTableStats::inserts},
+          {"flow.hits", &FlowTableStats::hits},
+          {"flow.evictions_stale", &FlowTableStats::evictions_stale},
+          {"flow.insert_failures", &FlowTableStats::insert_failures},
+          {"flow.erases", &FlowTableStats::erases},
+          {"flow.tag_mismatches", &FlowTableStats::tag_mismatches},
+          {"flow.sweep_evictions", &FlowTableStats::sweep_evictions}},
+      [](const QueueWorker& w) -> const FlowTableStats& { return w.tracker().table().stats(); },
+      static_cast<const FlowTableStats*>(nullptr));
+  check_summed(
+      ExpectedCounters<InflowStats>{
+          {"flow.ts_matches", &InflowStats::ts_matches},
+          {"flow.ts_ring_evictions", &InflowStats::ts_ring_evictions},
+          {"flow.ts_wraps", &InflowStats::ts_wraps},
+          {"flow.inflow_samples", &InflowStats::inflow_samples},
+          {"flow.one_sided_samples", &InflowStats::one_sided_samples},
+          {"flow.inflow_rate_limited", &InflowStats::rate_limited}},
+      [](const QueueWorker& w) -> const InflowStats& { return w.tracker().inflow_stats(); },
+      static_cast<const InflowStats*>(nullptr));
+
+  EXPECT_EQ(names, 45u);
+  // Distinct non-zero values are what expose a swapped cell; the burst
+  // and the in-flow kernel make most of them count.
+  EXPECT_GE(nonzero, 25u);
+}
+
 }  // namespace
 }  // namespace ruru

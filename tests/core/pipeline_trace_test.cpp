@@ -72,7 +72,6 @@ std::vector<SampleFacts> run_and_collect(const World& world, std::uint32_t sampl
   return samples;
 }
 
-#if RURU_TRACE
 TEST(PipelineTrace, SampledFlowsLeaveConnectedSpanChains) {
   const World world = scenario_world();
   PipelineConfig cfg;
@@ -163,7 +162,6 @@ TEST(PipelineTrace, ExportsChromeJsonOnFinish) {
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   std::remove(path.c_str());
 }
-#endif  // RURU_TRACE
 
 TEST(PipelineTrace, TracingDoesNotChangeMeasurements) {
   // The flight recorder observes; it must never perturb.  Same replay

@@ -385,13 +385,9 @@ std::vector<ExpectedWindow> brute_force_windows(const TimedValues& points, std::
 
 void expect_windows(const TimedValues& points, std::int64_t t0, std::int64_t t1,
                     std::int64_t step) {
-  // Negative and non-negative times go to two series: append's time
-  // partitioning is only defined while one series spans at most
-  // INT64_MAX and stays a partition (600 s) above INT64_MIN.
   TsdbEngine engine;
-  const SeriesId neg = engine.series("m", TagSet{}.add("sign", "-"));
-  const SeriesId pos = engine.series("m", TagSet{}.add("sign", "+"));
-  for (const auto& [ts, v] : points) engine.append(ts < 0 ? neg : pos, Timestamp{ts}, v);
+  const SeriesId sid = engine.series("m", TagSet{});
+  for (const auto& [ts, v] : points) engine.append(sid, Timestamp{ts}, v);
   const auto got =
       engine.window_aggregate("m", TagSet{}, Timestamp{t0}, Timestamp{t1}, Duration{step});
   const auto want = brute_force_windows(points, t0, t1, step);
@@ -423,6 +419,66 @@ TEST(EngineWindows, WholeTimelineAtOneHourStepHasCorrectStarts) {
                               {kMax - 1, 11.0},       {kMax, 12.0}};
   expect_windows(points, kMin, kMax, kHour);
   expect_windows(points, kMin + 17, kMax - 17, kHour);
+}
+
+// Time partitioning keeps a partition index per series, so appends and
+// downsampling hold at both ends of the int64 timeline.
+constexpr std::int64_t kMinNs = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMaxNs = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kHourNs = 3'600'000'000'000;
+
+TEST(EngineTimeline, AppendNearInt64MinStaysInOnePartition) {
+  // The 600 s partition holding INT64_MIN + 5 starts below INT64_MIN.
+  TsdbEngine engine;
+  const SeriesId sid = engine.series("m", TagSet{});
+  engine.append(sid, Timestamp{kMinNs + 5}, 1.0);
+  engine.append(sid, Timestamp{kMinNs + 6}, 2.0);
+  const auto stats = engine.storage_stats();
+  EXPECT_EQ(stats.points, 2u);
+  EXPECT_EQ(stats.sealed_chunks, 0u);
+  const auto r = engine.aggregate("m", TagSet{}, Timestamp{kMinNs}, Timestamp{kMinNs + 7});
+  EXPECT_EQ(r.count, 2u);
+  EXPECT_EQ(r.min, 1.0);
+  EXPECT_EQ(r.max, 2.0);
+}
+
+TEST(EngineTimeline, OneSeriesSpansBothEndsOfTheTimeline) {
+  // -1 h to INT64_MAX is further apart than INT64_MAX: each jump starts
+  // a new partition and seals the open chunk.
+  TsdbEngine engine;
+  const SeriesId sid = engine.series("m", TagSet{});
+  engine.append(sid, Timestamp{-kHourNs}, 1.0);
+  engine.append(sid, Timestamp{kMaxNs}, 2.0);
+  engine.append(sid, Timestamp{kMinNs}, 3.0);
+  const auto stats = engine.storage_stats();
+  EXPECT_EQ(stats.points, 3u);
+  EXPECT_EQ(stats.sealed_chunks, 2u);
+  // [INT64_MIN, INT64_MAX) holds every point but the one at INT64_MAX.
+  const auto r = engine.aggregate("m", TagSet{}, Timestamp{kMinNs}, Timestamp{kMaxNs});
+  EXPECT_EQ(r.count, 2u);
+  EXPECT_EQ(r.min, 1.0);
+  EXPECT_EQ(r.max, 3.0);
+}
+
+TEST(EngineTimeline, DownsampleBucketBelowInt64MinStartsThere) {
+  // A 10^6 h window's bucket holding INT64_MIN + 1 starts below
+  // INT64_MIN; its point is written at INT64_MIN.  Other buckets keep
+  // their aligned starts.
+  TsdbEngine engine;
+  const SeriesId sid = engine.series("m", TagSet{});
+  engine.append(sid, Timestamp{kMinNs + 1}, 4.0);
+  engine.append(sid, Timestamp{kMinNs + 2}, 6.0);
+  engine.append(sid, Timestamp{-1}, 8.0);
+  const Duration window{1'000'000 * kHourNs};
+  EXPECT_EQ(engine.downsample("m", "m_mean", window, "mean"), 2u);
+  const auto lowest =
+      engine.aggregate("m_mean", TagSet{}, Timestamp{kMinNs}, Timestamp{kMinNs + 1});
+  EXPECT_EQ(lowest.count, 1u);
+  EXPECT_EQ(lowest.mean, 5.0);
+  const auto last =
+      engine.aggregate("m_mean", TagSet{}, Timestamp{-window.ns}, Timestamp{-window.ns + 1});
+  EXPECT_EQ(last.count, 1u);
+  EXPECT_EQ(last.mean, 8.0);
 }
 
 TEST(EngineStorage, CompressionBeatsRawOnSteadyCadence) {

@@ -11,7 +11,8 @@
 #               SPSC rings, flow-table stats read by the snapshot
 #               thread), the obs + core tests that drive live pipelines
 #               (metrics snapshots, tracing rings, watchdog, sharded
-#               scale-out, in-flow workers), and the sharded TSDB
+#               scale-out, in-flow workers), the enrichment pool's N
+#               consumers on one subscription, and the sharded TSDB
 #               engine's reader/writer decoupling.
 #   invariants  un-sanitized (build/) so timing is representative: the
 #               bit-identity and conservation invariants by name, then
@@ -48,14 +49,15 @@ if [ "$MODE" = "tsan" ]; then
   BUILD="$ROOT/build-tsan"
   cmake -B "$BUILD" -S "$ROOT" -DRURU_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$BUILD" -j"$JOBS" \
-    --target test_msg test_flow test_util test_driver test_obs test_core test_tsdb
+    --target test_msg test_flow test_util test_driver test_obs test_core test_tsdb test_analytics
   # Each suite's tests carry its binary name as a ctest label.
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" \
     -L '^(test_msg|test_flow|test_util|test_driver)$')
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" -L '^(test_obs|test_core)$' \
     -R 'Metrics|Snapshot|Prometheus|JsonLines|SelfIngest|Pipeline|FanIn|PubSub|BusQueue|Nic|LcoreLauncher|Scaling|Inflow|Worker|Trace|TscClock|Watchdog')
+  (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" -L '^test_analytics$' -R '^PoolTest\.')
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" -L '^test_tsdb$' -R '^EngineConcurrency\.')
-  echo "tsan gate OK: bus, lanes, workers, telemetry, tracing and TSDB shards TSan-clean"
+  echo "tsan gate OK: bus, lanes, workers, telemetry, tracing, enrichment pool, TSDB shards TSan-clean"
   exit 0
 fi
 
