@@ -4,31 +4,21 @@
 
 namespace ruru {
 
-namespace {
-
-/// Endpoint half-key for "no covering geo record".  Interner ids are
-/// dense and small; ASNs are 32-bit but the registry tops out far below
-/// this, so the sentinel cannot collide with a real id.
-constexpr std::uint32_t kUnlocated = 0xFFFFFFFFu;
-
-}  // namespace
-
 std::uint32_t LatencyAggregator::endpoint_id(const GeoInfo& g) const {
   switch (mode_) {
     case Mode::kCityPair:
-      return g.located ? g.city_id : kUnlocated;
+      return g.city_key();
     case Mode::kAsPair:
       return g.asn;
     case Mode::kCountryPair:
-      return g.located ? g.country_id : kUnlocated;
+      return g.country_key();
   }
   return kUnlocated;
 }
 
 std::string LatencyAggregator::endpoint_name(std::uint32_t id) const {
   if (mode_ == Mode::kAsPair) return "AS" + std::to_string(id);
-  if (id == kUnlocated) return "?";
-  return std::string(geo_names().view(id));
+  return std::string(name_of(id));
 }
 
 void LatencyAggregator::add(const EnrichedSample& sample) {

@@ -12,6 +12,7 @@
 // Sinks resolve ids to strings only at format time via the accessors.
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <type_traits>
 
@@ -20,6 +21,11 @@
 #include "util/time.hpp"
 
 namespace ruru {
+
+/// City/country key of an endpoint with no covering geo record.
+/// Interner ids are dense and small, so it cannot collide with a real
+/// id; every pair key, TSDB tag and alert subject uses this one value.
+inline constexpr std::uint32_t kUnlocated = 0xFFFFFFFFu;
 
 struct GeoInfo {
   double latitude = 0.0;
@@ -35,7 +41,16 @@ struct GeoInfo {
   [[nodiscard]] std::string_view city() const { return geo_names().view(city_id); }
   [[nodiscard]] std::string_view country() const { return geo_names().view(country_id); }
   [[nodiscard]] std::string_view as_org() const { return geo_names().view(org_id); }
+
+  /// Interned city / country id, or kUnlocated.
+  [[nodiscard]] std::uint32_t city_key() const { return located ? city_id : kUnlocated; }
+  [[nodiscard]] std::uint32_t country_key() const { return located ? country_id : kUnlocated; }
 };
+
+/// Name of a city or country key: "?" for kUnlocated.
+[[nodiscard]] inline std::string_view name_of(std::uint32_t key) {
+  return key == kUnlocated ? std::string_view("?") : geo_names().view(key);
+}
 
 struct EnrichedSample {
   GeoInfo client;  ///< handshake initiator's location
@@ -57,6 +72,18 @@ struct EnrichedSample {
   SampleKind kind = SampleKind::kHandshake;
   bool toward_client = false;
 };
+
+/// Directed city pair: client city key in the high half, server's in
+/// the low half.
+[[nodiscard]] inline std::uint64_t city_pair_key(const EnrichedSample& s) {
+  return (std::uint64_t{s.client.city_key()} << 32) | s.server.city_key();
+}
+
+/// "src|dst" label of a pair key built from city or country keys.
+[[nodiscard]] inline std::string pair_label(std::uint64_t key) {
+  return std::string(name_of(static_cast<std::uint32_t>(key >> 32))) + "|" +
+         std::string(name_of(static_cast<std::uint32_t>(key)));
+}
 
 // The whole enrichment output must stay allocation-free to copy: a
 // string or vector member sneaking in here re-introduces a malloc per

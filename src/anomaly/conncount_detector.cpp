@@ -5,43 +5,13 @@
 
 namespace ruru {
 
-namespace {
-
-constexpr std::uint32_t kUnlocated = 0xFFFFFFFFu;
-
-std::uint32_t city_of(const GeoInfo& g) { return g.located ? g.city_id : kUnlocated; }
-
-std::string pair_name(std::uint64_t key) {
-  auto half = [](std::uint32_t id) {
-    return id == kUnlocated ? std::string("?") : std::string(geo_names().view(id));
-  };
-  return half(static_cast<std::uint32_t>(key >> 32)) + "|" +
-         half(static_cast<std::uint32_t>(key));
-}
-
-}  // namespace
-
 void ConnCountDetector::add(const EnrichedSample& sample) {
   std::lock_guard lock(mu_);
-  roll_window_locked(sample.completed_at);
-  const std::uint64_t key =
-      (std::uint64_t{city_of(sample.client)} << 32) | city_of(sample.server);
-  ++window_counts_[key];
+  window_.advance(sample.completed_at, [this](Timestamp start) { close_window_locked(start); });
+  ++window_counts_[city_pair_key(sample)];
 }
 
-void ConnCountDetector::roll_window_locked(Timestamp time) {
-  if (!window_open_) {
-    window_start_ = Timestamp{(time.ns / config_.window.ns) * config_.window.ns};
-    window_open_ = true;
-    return;
-  }
-  while (time.ns >= window_start_.ns + config_.window.ns) {
-    close_window_locked();
-    window_start_ = window_start_ + config_.window;
-  }
-}
-
-void ConnCountDetector::close_window_locked() {
+void ConnCountDetector::close_window_locked(Timestamp start) {
   // Every known pair gets an observation (0 when quiet this window).
   for (auto& [key, state] : baselines_) {
     if (window_counts_.find(key) == window_counts_.end()) window_counts_[key] = 0;
@@ -55,9 +25,9 @@ void ConnCountDetector::close_window_locked() {
         st.windows >= config_.warmup_windows && z > config_.k_sigma && count >= config_.min_count;
     if (anomalous) {
       Alert a;
-      a.time = window_start_;
+      a.time = start;
       a.kind = "conn-count";
-      a.subject = pair_name(key);
+      a.subject = pair_label(key);
       a.score = z;
       char buf[128];
       std::snprintf(buf, sizeof buf, "%llu connections vs baseline %.1f (sigma %.1f)",
@@ -77,8 +47,7 @@ void ConnCountDetector::close_window_locked() {
 
 void ConnCountDetector::flush(std::vector<Alert>& out) {
   std::lock_guard lock(mu_);
-  if (window_open_) close_window_locked();
-  window_open_ = false;
+  window_.flush([this](Timestamp start) { close_window_locked(start); });
   out.insert(out.end(), alerts_.begin(), alerts_.end());
   alerts_.clear();
 }

@@ -30,7 +30,8 @@ struct ConnCountConfig {
 
 class ConnCountDetector {
  public:
-  explicit ConnCountDetector(ConnCountConfig config = {}) : config_(config) {}
+  explicit ConnCountDetector(ConnCountConfig config = {})
+      : config_(config), window_(config.window) {}
 
   /// Thread-safe.
   void add(const EnrichedSample& sample);
@@ -47,13 +48,11 @@ class ConnCountDetector {
     std::uint64_t windows = 0;
   };
 
-  void roll_window_locked(Timestamp time);
-  void close_window_locked();
+  void close_window_locked(Timestamp start);
 
   ConnCountConfig config_;
   std::mutex mu_;
-  Timestamp window_start_{};
-  bool window_open_ = false;
+  TumblingWindow window_;
   std::map<std::uint64_t, std::uint64_t> window_counts_;  // (src_city << 32) | dst_city
   std::map<std::uint64_t, PairState> baselines_;
   std::vector<Alert> alerts_;

@@ -11,9 +11,11 @@ PeriodicSpikeDetector::PeriodicSpikeDetector(PeriodicConfig config) : config_(co
 }
 
 void PeriodicSpikeDetector::add(Timestamp time, Duration latency) {
-  const std::int64_t period_idx = time.ns >= 0 ? time.ns / config_.period.ns
-                                               : (time.ns - config_.period.ns + 1) / config_.period.ns;
-  const std::int64_t into = time.ns - period_idx * config_.period.ns;
+  // Offset into the period from the remainder, never idx * period:
+  // that product leaves the int64 range for times near INT64_MIN.
+  const std::int64_t period_idx = floor_div(time.ns, config_.period.ns);
+  const std::int64_t rem = time.ns % config_.period.ns;
+  const std::int64_t into = rem < 0 ? rem + config_.period.ns : rem;
   const auto bucket_idx = static_cast<std::size_t>(into / config_.bucket.ns);
   Bucket& b = buckets_[bucket_idx % buckets_.size()];
   b.latency.record(latency.ns);

@@ -4,26 +4,14 @@
 
 namespace ruru {
 
-void SynFloodDetector::roll_window_locked(Timestamp time) {
-  if (!window_open_) {
-    window_start_ = Timestamp{(time.ns / config_.window.ns) * config_.window.ns};
-    window_open_ = true;
-    return;
-  }
-  while (time.ns >= window_start_.ns + config_.window.ns) {
-    close_window_locked();
-    window_start_ = window_start_ + config_.window;
-  }
-}
-
-void SynFloodDetector::close_window_locked() {
+void SynFloodDetector::close_window_locked(Timestamp start) {
   for (const auto& [server, c] : counts_) {
     if (c.syns < config_.min_syns) continue;
     const double ratio =
         c.syns != 0 ? static_cast<double>(c.completions) / static_cast<double>(c.syns) : 0.0;
     if (ratio > config_.max_completion_ratio) continue;
     Alert a;
-    a.time = window_start_;
+    a.time = start;
     a.kind = "syn-flood";
     a.subject = server.to_string();
     a.score = static_cast<double>(c.syns) * (1.0 - ratio);
@@ -40,20 +28,19 @@ void SynFloodDetector::close_window_locked() {
 
 void SynFloodDetector::on_syn(Timestamp time, Ipv4Address server) {
   std::lock_guard lock(mu_);
-  roll_window_locked(time);
+  window_.advance(time, [this](Timestamp start) { close_window_locked(start); });
   ++counts_[server].syns;
 }
 
 void SynFloodDetector::on_completion(Timestamp time, Ipv4Address server) {
   std::lock_guard lock(mu_);
-  roll_window_locked(time);
+  window_.advance(time, [this](Timestamp start) { close_window_locked(start); });
   ++counts_[server].completions;
 }
 
 void SynFloodDetector::flush(std::vector<Alert>& out) {
   std::lock_guard lock(mu_);
-  if (window_open_) close_window_locked();
-  window_open_ = false;
+  window_.flush([this](Timestamp start) { close_window_locked(start); });
   out.insert(out.end(), alerts_.begin(), alerts_.end());
   alerts_.clear();
 }

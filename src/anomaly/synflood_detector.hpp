@@ -25,7 +25,8 @@ struct SynFloodConfig {
 
 class SynFloodDetector {
  public:
-  explicit SynFloodDetector(SynFloodConfig config = {}) : config_(config) {}
+  explicit SynFloodDetector(SynFloodConfig config = {})
+      : config_(config), window_(config.window) {}
 
   /// A SYN towards `server` observed at `time`. Thread-safe.
   void on_syn(Timestamp time, Ipv4Address server);
@@ -44,13 +45,11 @@ class SynFloodDetector {
     std::uint64_t completions = 0;
   };
 
-  void roll_window_locked(Timestamp time);
-  void close_window_locked();
+  void close_window_locked(Timestamp start);
 
   SynFloodConfig config_;
   std::mutex mu_;
-  Timestamp window_start_{};
-  bool window_open_ = false;
+  TumblingWindow window_;
   std::unordered_map<Ipv4Address, Counts> counts_;
   std::vector<Alert> alerts_;
 };

@@ -222,8 +222,6 @@ Result<PipelineConfig> pipeline_config_from_text(const std::string& text,
       status = set_u64(cfg.tsdb_shards);
     } else if (key == "storage.tsdb_chunk_points") {
       status = set_u64(cfg.tsdb_chunk_points);
-    } else if (key == "meter.enabled") {
-      status = set_bool(cfg.enable_link_meter);
     } else if (key == "meter.window_s") {
       status = set_seconds(cfg.link_meter_window, /*positive=*/true);
     } else if (key == "detectors.synflood") {

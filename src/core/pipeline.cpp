@@ -420,11 +420,8 @@ void RuruPipeline::wire_sinks() {
   // Series ids for `s`'s route and class; a cache hit does no string or
   // TagSet work.
   auto route_series = [this, routes = std::make_shared<RouteCache>()](const EnrichedSample& s) {
-    constexpr std::uint64_t kUnlocated = 0xFFFF'FFFFull;
-    const RouteKey key{
-        ((s.client.located ? std::uint64_t{s.client.city_id} : kUnlocated) << 32) |
-            (s.server.located ? std::uint64_t{s.server.city_id} : kUnlocated),
-        (std::uint64_t{s.client.asn} << 32) | std::uint64_t{s.server.asn}};
+    const RouteKey key{city_pair_key(s),
+                       (std::uint64_t{s.client.asn} << 32) | std::uint64_t{s.server.asn}};
     const std::size_t cls = s.kind == SampleKind::kHandshake
                                 ? 0
                                 : 1 + (s.kind == SampleKind::kInflow ? 0 : 2) +
@@ -437,8 +434,8 @@ void RuruPipeline::wire_sinks() {
     }
     // First sample of this route and class: build the tags, resolve once.
     TagSet tags;
-    tags.add("src_city", std::string(s.client.located ? s.client.city() : "?"))
-        .add("dst_city", std::string(s.server.located ? s.server.city() : "?"))
+    tags.add("src_city", std::string(name_of(s.client.city_key())))
+        .add("dst_city", std::string(name_of(s.server.city_key())))
         .add("src_as", std::to_string(s.client.asn))
         .add("dst_as", std::to_string(s.server.asn));
     std::array<SeriesId, 3> sids{};
@@ -493,8 +490,7 @@ void RuruPipeline::wire_sinks() {
         alert = ewma_->update(s.completed_at, s.total.to_ms());
       }
       if (alert) {
-        alert->subject = std::string(s.client.located ? s.client.city() : "?") + "|" +
-                         std::string(s.server.located ? s.server.city() : "?");
+        alert->subject = pair_label(city_pair_key(s));
         bus_.publish(encode_alert(*alert));  // live "ruru.alerts" feed
         alerts_published_.fetch_add(1, std::memory_order_relaxed);
         alerts_.raise(std::move(*alert));
@@ -539,16 +535,14 @@ void RuruPipeline::start() {
 }
 
 bool RuruPipeline::inject(std::span<const std::uint8_t> frame, Timestamp rx_time) {
-  if (config_.enable_link_meter) link_meter_.on_packet(rx_time, frame.size());
+  link_meter_.on_packet(rx_time, frame.size());
   return nic_->inject(frame, rx_time);
 }
 
 std::size_t RuruPipeline::inject_burst(std::span<const RxFrame> frames, bool* queued) {
-  if (config_.enable_link_meter) {
-    // The meter sees the wire, not the queues: every frame counts even
-    // if the NIC then drops it.
-    for (const RxFrame& f : frames) link_meter_.on_packet(f.rx_time, f.data.size());
-  }
+  // The meter sees the wire, not the queues: every frame counts even if
+  // the NIC then drops it.
+  meter_frames(frames);
   return nic_->inject_burst(frames, queued);
 }
 
@@ -558,7 +552,6 @@ std::size_t RuruPipeline::inject_shard(std::uint16_t queue, std::span<const RxFr
 }
 
 void RuruPipeline::meter_frames(std::span<const RxFrame> frames) {
-  if (!config_.enable_link_meter) return;
   for (const RxFrame& f : frames) link_meter_.on_packet(f.rx_time, f.data.size());
 }
 
@@ -601,20 +594,18 @@ void RuruPipeline::finish() {
   for (auto& a : pending) alerts_.raise(std::move(a));
 
   // 4. Persist link-load windows ("SNMP view, but per second").
-  if (config_.enable_link_meter) {
-    link_meter_.flush();
-    TagSet tags;
-    tags.add("port", "0");
-    for (const auto& w : link_meter_.closed()) {
-      tsdb_.write("link_mbps", tags, w.start, w.mbps());
-      tsdb_.write("link_pps", tags, w.start, w.pps());
-    }
+  link_meter_.flush();
+  TagSet tags;
+  tags.add("port", "0");
+  for (const auto& w : link_meter_.closed()) {
+    tsdb_.write("link_mbps", tags, w.start, w.mbps());
+    tsdb_.write("link_pps", tags, w.start, w.pps());
   }
 
   // 5. Apply the storage policy (continuous-query downsampling, then
-  //    raw-sample retention anchored at the last capture timestamp).
-  //    Raw per-sample measurements: the handshake triple, then the
-  //    in-flow and one-sided halves the sink writes.
+  //    raw-sample retention anchored at the end of the last link-meter
+  //    window).  Raw per-sample measurements: the handshake triple, then
+  //    the in-flow and one-sided halves the sink writes.
   const std::vector<std::string> raw = {"total_ms", "internal_ms", "external_ms", "inflow_ms",
                                         "onesided_ms"};
   if (config_.downsample_window.ns > 0) {

@@ -127,14 +127,14 @@ struct PipelineConfig {
   /// nonzero, each handshake measurement (total/internal/external) is
   /// downsampled into "<name>_<stat>" series at that granularity; when
   /// `retention_horizon` is nonzero, raw per-sample points (handshake,
-  /// in-flow and one-sided) older than the horizon (relative to the
-  /// newest sample) are then dropped.
+  /// in-flow and one-sided) older than the horizon are then dropped.
+  /// The horizon counts back from the end of the last link-meter window
+  /// (the capture's end on the wire), not from the newest sample.
   Duration downsample_window = Duration{0};
   std::string downsample_stat = "median";
   Duration retention_horizon = Duration{0};
 
   // --- link load metering ---
-  bool enable_link_meter = true;
   Duration link_meter_window = Duration::from_sec(1.0);
 
   // --- observability / telemetry ---

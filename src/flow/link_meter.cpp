@@ -3,16 +3,7 @@
 namespace ruru {
 
 void LinkMeter::on_packet(Timestamp t, std::size_t bytes) {
-  if (!open_) {
-    current_start_ = Timestamp{(t.ns / window_.ns) * window_.ns};
-    open_ = true;
-  }
-  while (t.ns >= current_start_.ns + window_.ns) {
-    closed_.push_back(LinkWindow{current_start_, current_packets_, current_bytes_, window_});
-    current_start_ = current_start_ + window_;
-    current_packets_ = 0;
-    current_bytes_ = 0;
-  }
+  window_.advance(t, [this](Timestamp start) { close(start); });
   ++current_packets_;
   current_bytes_ += bytes;
   ++total_packets_;
@@ -20,11 +11,13 @@ void LinkMeter::on_packet(Timestamp t, std::size_t bytes) {
 }
 
 void LinkMeter::flush() {
-  if (!open_) return;
-  closed_.push_back(LinkWindow{current_start_, current_packets_, current_bytes_, window_});
+  window_.flush([this](Timestamp start) { close(start); });
+}
+
+void LinkMeter::close(Timestamp start) {
+  closed_.push_back(LinkWindow{start, current_packets_, current_bytes_, window_.width()});
   current_packets_ = 0;
   current_bytes_ = 0;
-  open_ = false;
 }
 
 }  // namespace ruru

@@ -48,9 +48,9 @@ class LinkMeter {
   [[nodiscard]] std::uint64_t total_bytes() const { return total_bytes_; }
 
  private:
-  Duration window_;
-  bool open_ = false;
-  Timestamp current_start_{};
+  void close(Timestamp start);
+
+  TumblingWindow window_;
   std::uint64_t current_packets_ = 0;
   std::uint64_t current_bytes_ = 0;
   std::uint64_t total_packets_ = 0;

@@ -17,19 +17,6 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x31555252;  // "RRU1" little-endian
 
-bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 bool read_all(int fd, std::uint8_t* data, std::size_t len) {
   while (len > 0) {
     const ssize_t n = ::recv(fd, data, len, 0);
@@ -62,11 +49,11 @@ std::vector<std::uint8_t> serialize(const Message& m) {
 
 }  // namespace
 
-TcpBusServer::~TcpBusServer() { close(); }
+PushServer::~PushServer() { close(); }
 
-Status TcpBusServer::bind(std::uint16_t port) {
+Status PushServer::bind(std::uint16_t port) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return make_error("tcp-bus: socket() failed");
+  if (listen_fd_ < 0) return make_error("push-server: socket() failed");
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
 
@@ -74,15 +61,11 @@ Status TcpBusServer::bind(std::uint16_t port) {
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(listen_fd_, 16) != 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
-    return make_error("tcp-bus: bind() failed: " + std::string(std::strerror(errno)));
-  }
-  if (::listen(listen_fd_, 16) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return make_error("tcp-bus: listen() failed");
+    return make_error("push-server: bind/listen failed: " + std::string(std::strerror(errno)));
   }
   socklen_t len = sizeof addr;
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
@@ -92,7 +75,7 @@ Status TcpBusServer::bind(std::uint16_t port) {
   return {};
 }
 
-void TcpBusServer::accept_loop() {
+void PushServer::accept_loop() {
   while (!stopping_.load(std::memory_order_acquire)) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
@@ -104,20 +87,29 @@ void TcpBusServer::accept_loop() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     // Bound the stall a slow client can impose: after 100 ms of a full
     // send buffer the write fails and the client is dropped, so the
-    // publisher never backpressures the pipeline for long.
+    // publisher never backpressures the pipeline for long.  Admission
+    // reads are bounded too, or one silent peer would stop every later
+    // connection from being accepted.
     timeval send_timeout{0, 100'000};
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout, sizeof send_timeout);
+    timeval recv_timeout{1, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout, sizeof recv_timeout);
+    if (admit_ && !admit_(fd)) {
+      rejected_.fetch_add(1);
+      ::close(fd);
+      continue;
+    }
     std::lock_guard lock(mu_);
     clients_.push_back(fd);
+    admitted_.fetch_add(1);
   }
 }
 
-std::size_t TcpBusServer::publish(const Message& message) {
-  const std::vector<std::uint8_t> wire = serialize(message);
+std::size_t PushServer::broadcast(std::span<const std::uint8_t> wire) {
   std::lock_guard lock(mu_);
   std::size_t reached = 0;
   for (auto it = clients_.begin(); it != clients_.end();) {
-    if (write_all(*it, wire.data(), wire.size())) {
+    if (send_all(*it, wire.data(), wire.size())) {
       ++reached;
       ++it;
     } else {
@@ -129,12 +121,12 @@ std::size_t TcpBusServer::publish(const Message& message) {
   return reached;
 }
 
-std::size_t TcpBusServer::client_count() const {
+std::size_t PushServer::client_count() const {
   std::lock_guard lock(mu_);
   return clients_.size();
 }
 
-void TcpBusServer::close() {
+void PushServer::close() {
   if (stopping_.exchange(true)) return;
   if (listen_fd_ >= 0) {
     ::shutdown(listen_fd_, SHUT_RDWR);
@@ -147,21 +139,43 @@ void TcpBusServer::close() {
   listen_fd_ = -1;
 }
 
-Result<TcpBusClient> TcpBusClient::connect(const std::string& host, std::uint16_t port) {
+bool send_all(int fd, const void* data, std::size_t len) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  while (len > 0) {
+    const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      return false;
+    }
+    p += n;
+    len -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+Result<int> tcp_connect(const std::string& host, std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return make_error("tcp-bus: socket() failed");
+  if (fd < 0) return make_error("tcp: socket() failed");
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
     ::close(fd);
-    return make_error("tcp-bus: bad address '" + host + "'");
+    return make_error("tcp: bad address '" + host + "'");
   }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
     ::close(fd);
-    return make_error("tcp-bus: connect() failed: " + std::string(std::strerror(errno)));
+    return make_error("tcp: connect() failed: " + std::string(std::strerror(errno)));
   }
-  return TcpBusClient(fd);
+  return fd;
+}
+
+std::size_t TcpBusServer::publish(const Message& message) { return broadcast(serialize(message)); }
+
+Result<TcpBusClient> TcpBusClient::connect(const std::string& host, std::uint16_t port) {
+  auto fd = tcp_connect(host, port);
+  if (!fd) return make_error(fd.error());
+  return TcpBusClient(fd.value());
 }
 
 TcpBusClient& TcpBusClient::operator=(TcpBusClient&& o) noexcept {

@@ -4,24 +4,6 @@
 
 namespace ruru::obs {
 
-// --- HistogramStats ---
-
-std::int64_t HistogramStats::percentile(double q) const {
-  if (count == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Same rank arithmetic as Histogram::percentile: 1-based target rank,
-  // exact extremes, bucket representatives clamped into [min, max].
-  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count - 1)) + 1;
-  if (target <= 1) return min;
-  if (target >= count) return max;
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    seen += buckets[i];
-    if (seen >= target) return std::clamp(Histogram::bucket_value(i), min, max);
-  }
-  return max;
-}
-
 // --- MetricsSnapshot lookups ---
 
 const std::uint64_t* MetricsSnapshot::counter(std::string_view name) const {

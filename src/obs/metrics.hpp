@@ -47,7 +47,9 @@ struct HistogramStats {
     return count != 0 ? static_cast<double>(sum) / static_cast<double>(count) : 0.0;
   }
   /// Value at quantile q in [0,1]; 0 when empty.
-  [[nodiscard]] std::int64_t percentile(double q) const;
+  [[nodiscard]] std::int64_t percentile(double q) const {
+    return Histogram::percentile(buckets, count, min, max, q);
+  }
 };
 
 /// Point-in-time, merged-across-shards view of every metric.

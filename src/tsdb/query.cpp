@@ -94,12 +94,6 @@ double pick_stat(const AggregateResult& r, const std::string& stat) {
   return r.mean;
 }
 
-/// Floor division for w > 0 (window/partition indices of negative
-/// times), defined over the whole int64 range.
-constexpr std::int64_t floor_div(std::int64_t x, std::int64_t w) {
-  return x / w - (x % w < 0 ? 1 : 0);
-}
-
 constexpr Timestamp kScanMin{std::numeric_limits<std::int64_t>::min()};
 constexpr Timestamp kScanMax{std::numeric_limits<std::int64_t>::max()};
 

@@ -57,25 +57,25 @@ void Histogram::merge(const Histogram& other) {
   }
 }
 
-std::int64_t Histogram::percentile(double q) const {
-  if (count_ == 0) return 0;
+std::int64_t Histogram::percentile(std::span<const std::uint64_t> buckets, std::uint64_t count,
+                                   std::int64_t min, std::int64_t max, double q) {
+  if (count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   // Rank of the target sample, 1-based.
-  const auto target =
-      static_cast<std::uint64_t>(q * static_cast<double>(count_ - 1)) + 1;
+  const auto target = static_cast<std::uint64_t>(q * static_cast<double>(count - 1)) + 1;
   // The extreme ranks are known exactly; bucket midpoints would be off
   // by up to half a bucket width.
-  if (target <= 1) return min_;
-  if (target >= count_) return max_;
+  if (target <= 1) return min;
+  if (target >= count) return max;
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    seen += buckets[i];
     if (seen >= target) {
       // Clamp representatives so p0/p100 match true min/max.
-      return std::clamp(bucket_value(i), min_, max_);
+      return std::clamp(bucket_value(i), min, max);
     }
   }
-  return max_;
+  return max;
 }
 
 void Histogram::clear() {

@@ -8,6 +8,7 @@
 // int64 nanosecond range.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/time.hpp"
@@ -37,7 +38,15 @@ class Histogram {
 
   /// Value at quantile q in [0,1] (q=0.5 -> median). Returns a bucket
   /// representative value; 0 when empty.
-  [[nodiscard]] std::int64_t percentile(double q) const;
+  [[nodiscard]] std::int64_t percentile(double q) const {
+    return percentile(buckets_, count_, min_, max_, q);
+  }
+  /// The same rank rule over any bucket array laid out like this class's
+  /// (the metrics registry's merged shards): 1-based target rank, exact
+  /// extremes, bucket representatives clamped into [min, max].
+  [[nodiscard]] static std::int64_t percentile(std::span<const std::uint64_t> buckets,
+                                               std::uint64_t count, std::int64_t min,
+                                               std::int64_t max, double q);
 
   void clear();
 

@@ -39,18 +39,16 @@ namespace {
 
 /// "[2017-08-21T14:03:07.123Z]" — UTC wall clock, millisecond precision.
 void append_iso8601_now(std::string& out) {
-  const auto now = std::chrono::system_clock::now();
-  const std::time_t secs = std::chrono::system_clock::to_time_t(now);
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      now.time_since_epoch())
-                      .count() %
-                  1000;
+  const auto since_epoch = std::chrono::system_clock::now().time_since_epoch();
+  const auto whole = std::chrono::floor<std::chrono::seconds>(since_epoch);
+  // Milliseconds into the second: in [0, 999] on either side of the epoch.
+  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(since_epoch - whole);
+  const std::time_t secs = whole.count();
   std::tm tm_utc{};
   gmtime_r(&secs, &tm_utc);
   char buf[40];
-  std::snprintf(buf, sizeof buf, "[%04d-%02d-%02dT%02d:%02d:%02d.%03dZ]",
-                tm_utc.tm_year + 1900, tm_utc.tm_mon + 1, tm_utc.tm_mday, tm_utc.tm_hour,
-                tm_utc.tm_min, tm_utc.tm_sec, static_cast<int>(ms));
+  const std::size_t n = std::strftime(buf, sizeof buf, "[%Y-%m-%dT%H:%M:%S", &tm_utc);
+  std::snprintf(buf + n, sizeof buf - n, ".%03dZ]", static_cast<int>(ms.count()));
   out += buf;
 }
 

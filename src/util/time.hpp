@@ -58,6 +58,55 @@ constexpr Duration operator-(Duration a, Duration b) { return Duration{a.ns - b.
 constexpr Duration operator*(Duration d, std::int64_t k) { return Duration{d.ns * k}; }
 constexpr Duration operator/(Duration d, std::int64_t k) { return Duration{d.ns / k}; }
 
+/// Floor division for w > 0: the index of the width-`w` window holding
+/// `x`, so -1 falls in window -1, not 0.  Defined over the whole int64
+/// range.
+constexpr std::int64_t floor_div(std::int64_t x, std::int64_t w) {
+  return x / w - (x % w < 0 ? 1 : 0);
+}
+
+/// Fixed, back-to-back windows of capture time, aligned to multiples of
+/// the width.  The first event opens the window holding it; a later
+/// event first closes every window it has passed, empty ones included.
+/// An event earlier than the open window leaves it open (the owner
+/// counts it there).
+/// Not thread-safe: the owner serializes events.  Aligned starts must be
+/// representable, i.e. events lie at least one width above INT64_MIN.
+class TumblingWindow {
+ public:
+  explicit TumblingWindow(Duration width) : width_(width) {}
+
+  /// Moves to the window holding `t`, calling close(start) for each
+  /// window left behind, oldest first.
+  template <typename Close>
+  void advance(Timestamp t, Close&& close) {
+    if (!open_) {
+      start_ = Timestamp{floor_div(t.ns, width_.ns) * width_.ns};
+      open_ = true;
+      return;
+    }
+    while (t.ns - start_.ns >= width_.ns) {
+      close(start_);
+      start_ = start_ + width_;
+    }
+  }
+
+  /// Closes the open window, if any (end of run); the next event opens
+  /// a fresh one.
+  template <typename Close>
+  void flush(Close&& close) {
+    if (open_) close(start_);
+    open_ = false;
+  }
+
+  [[nodiscard]] Duration width() const { return width_; }
+
+ private:
+  Duration width_;
+  Timestamp start_{};
+  bool open_ = false;
+};
+
 /// Formats a duration with an adaptive unit, e.g. "4000.0 ms" or "812 ns".
 [[nodiscard]] std::string to_string(Duration d);
 /// Formats a timestamp as seconds with millisecond precision, e.g. "t=12.345s".

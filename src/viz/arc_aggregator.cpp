@@ -2,20 +2,9 @@
 
 namespace ruru {
 
-namespace {
-
-constexpr std::uint32_t kUnlocated = 0xFFFFFFFFu;
-
-std::string city_name(std::uint32_t id) {
-  return id == kUnlocated ? std::string("?") : std::string(geo_names().view(id));
-}
-
-}  // namespace
-
 void ArcAggregator::add(const EnrichedSample& s) {
   const ArcColor color = scale_.bucket(s.total);
-  const Key key{s.client.located ? s.client.city_id : kUnlocated,
-                s.server.located ? s.server.city_id : kUnlocated, static_cast<int>(color)};
+  const Key key{s.client.city_key(), s.server.city_key(), static_cast<int>(color)};
   std::lock_guard lock(mu_);
   Accum& a = current_[key];
   if (a.count == 0) {
@@ -41,8 +30,8 @@ ArcFrame ArcAggregator::cut_frame(Timestamp now) {
   frame.arcs.reserve(current_.size());
   for (auto& [key, a] : current_) {
     Arc arc;
-    arc.src_city = city_name(key.src);
-    arc.dst_city = city_name(key.dst);
+    arc.src_city = name_of(key.src);
+    arc.dst_city = name_of(key.dst);
     arc.src_lat = a.src_lat;
     arc.src_lon = a.src_lon;
     arc.dst_lat = a.dst_lat;

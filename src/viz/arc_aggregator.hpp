@@ -50,7 +50,7 @@ class ArcAggregator {
 
  private:
   // Interned city ids, not strings: coalescing a sample into an existing
-  // arc is allocation-free.  0xFFFFFFFF marks an unlocated endpoint;
+  // arc is allocation-free.  kUnlocated marks an unlocated endpoint;
   // names materialize in cut_frame().
   struct Key {
     std::uint32_t src, dst;

@@ -1,12 +1,10 @@
 #include "viz/ws_server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "viz/websocket.hpp"
@@ -15,29 +13,20 @@ namespace ruru {
 
 namespace {
 
-bool send_all(int fd, const void* data, std::size_t len) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  while (len > 0) {
-    const ssize_t n = ::send(fd, p, len, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Reads until "\r\n\r\n" or `max` bytes; returns the header block.
+/// Reads until "\r\n\r\n", `max` bytes or a one-second budget;
+/// returns the header block.  Each server-side read also times out
+/// (PushServer), which stops a peer that sends nothing; the budget stops
+/// one that trickles a byte per read timeout.
 Result<std::string> read_http_headers(int fd, std::size_t max = 8192) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
   std::string buf;
   char chunk[512];
   while (buf.size() < max) {
+    if (std::chrono::steady_clock::now() >= deadline) return make_error("ws: handshake timed out");
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      return make_error("ws: connection closed during handshake");
+      return make_error("ws: connection closed or timed out during handshake");
     }
     buf.append(chunk, static_cast<std::size_t>(n));
     if (buf.find("\r\n\r\n") != std::string::npos) return buf;
@@ -64,60 +53,9 @@ std::string find_header(const std::string& block, std::string_view name) {
   return value.substr(first, last - first + 1);
 }
 
-}  // namespace
-
-WsServer::~WsServer() { close(); }
-
-Status WsServer::bind(std::uint16_t port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return make_error("ws: socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(listen_fd_, 16) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return make_error("ws: bind/listen failed: " + std::string(std::strerror(errno)));
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
-  accept_thread_ = std::thread([this] { accept_loop(); });
-  return {};
-}
-
-void WsServer::accept_loop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_acquire)) break;
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (perform_upgrade(fd)) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-      // A stalled browser tab must not stall the feed: bounded sends,
-      // then the client is dropped.
-      timeval send_timeout{0, 100'000};
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout, sizeof send_timeout);
-      std::lock_guard lock(mu_);
-      clients_.push_back(fd);
-      upgrades_.fetch_add(1);
-    } else {
-      rejected_.fetch_add(1);
-      ::close(fd);
-    }
-  }
-}
-
-bool WsServer::perform_upgrade(int fd) {
+/// The admission hook: reads the HTTP request, validates the upgrade,
+/// replies 101 (or 400).
+bool perform_upgrade(int fd) {
   auto request = read_http_headers(fd);
   if (!request) return false;
   const std::string& req = request.value();
@@ -137,52 +75,19 @@ bool WsServer::perform_upgrade(int fd) {
   return send_all(fd, response.data(), response.size());
 }
 
+}  // namespace
+
+WsServer::WsServer() : PushServer(perform_upgrade) {}
+
 std::size_t WsServer::broadcast_text(std::string_view payload) {
-  const auto frame = ws_encode_text(payload);
-  std::lock_guard lock(mu_);
-  std::size_t reached = 0;
-  for (auto it = clients_.begin(); it != clients_.end();) {
-    if (send_all(*it, frame.data(), frame.size())) {
-      ++reached;
-      ++it;
-    } else {
-      ::close(*it);
-      it = clients_.erase(it);
-    }
-  }
-  return reached;
-}
-
-std::size_t WsServer::client_count() const {
-  std::lock_guard lock(mu_);
-  return clients_.size();
-}
-
-void WsServer::close() {
-  if (stopping_.exchange(true)) return;
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::lock_guard lock(mu_);
-  for (const int fd : clients_) ::close(fd);
-  clients_.clear();
-  listen_fd_ = -1;
+  return broadcast(ws_encode_text(payload));
 }
 
 Result<int> ws_client_connect(const std::string& host, std::uint16_t port,
                               const std::string& key) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return make_error("ws-client: socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return make_error("ws-client: connect failed");
-  }
+  auto connected = tcp_connect(host, port);
+  if (!connected) return make_error("ws-client: " + connected.error());
+  const int fd = connected.value();
   const std::string request = "GET /live HTTP/1.1\r\n"
                               "Host: " + host + "\r\n"
                               "Upgrade: websocket\r\n"

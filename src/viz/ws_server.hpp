@@ -6,57 +6,32 @@
 // Server-side only, push-only (the map never sends data back except
 // pings): accepts TCP connections on loopback, performs the RFC 6455
 // HTTP upgrade using websocket_accept_key(), then broadcast()s text
-// frames to every upgraded client.  Clients that stall or disconnect
-// are dropped, never waited on — same policy as the bus.
+// frames to every upgraded client.  Accepting, bounded sends and
+// dropping clients that stall or disconnect are the bus's PushServer
+// (msg/tcp_transport); this file adds only the upgrade and the framing.
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
+#include "msg/tcp_transport.hpp"
 #include "util/result.hpp"
 
 namespace ruru {
 
-class WsServer {
+/// The bus's PushServer with WebSocket framing: each connection must
+/// pass the upgrade (bounded by a handshake deadline) before it joins.
+class WsServer : public PushServer {
  public:
-  WsServer() = default;
-  ~WsServer();
-  WsServer(const WsServer&) = delete;
-  WsServer& operator=(const WsServer&) = delete;
-
-  /// Bind 127.0.0.1:`port` (0 = ephemeral) and start accepting +
-  /// upgrading clients in a background thread.
-  Status bind(std::uint16_t port);
-
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  WsServer();
 
   /// Send one text frame to every upgraded client. Returns clients
   /// reached.
   std::size_t broadcast_text(std::string_view payload);
 
-  [[nodiscard]] std::size_t client_count() const;
-  [[nodiscard]] std::uint64_t upgrades() const { return upgrades_.load(); }
-  [[nodiscard]] std::uint64_t rejected_handshakes() const { return rejected_.load(); }
-
-  void close();
-
- private:
-  void accept_loop();
-  /// Reads the HTTP request, validates the upgrade, replies 101.
-  bool perform_upgrade(int fd);
-
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  std::thread accept_thread_;
-  std::atomic<bool> stopping_{false};
-  mutable std::mutex mu_;
-  std::vector<int> clients_;
-  std::atomic<std::uint64_t> upgrades_{0};
-  std::atomic<std::uint64_t> rejected_{0};
+  [[nodiscard]] std::uint64_t upgrades() const { return admitted(); }
+  [[nodiscard]] std::uint64_t rejected_handshakes() const { return rejected(); }
 };
 
 /// Client-side handshake helper for tests/tools: connects, sends the

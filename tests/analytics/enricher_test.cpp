@@ -97,7 +97,7 @@ TEST_F(EnricherTest, Ipv6IsUnlocatedWithoutGeo6) {
 
 TEST_F(EnricherTest, CacheHitsOnRepeatedAddresses) {
   Enricher e(world_->geo, world_->as);
-  for (int i = 0; i < 10; ++i) e.enrich(sample());
+  for (int i = 0; i < 10; ++i) (void)e.enrich(sample());
   // 2 misses (first lookup of each endpoint), 18 hits.
   EXPECT_EQ(e.stats().cache_misses, 2u);
   EXPECT_EQ(e.stats().cache_hits, 18u);
@@ -126,7 +126,7 @@ TEST_F(EnricherTest, NegativeLookupsAreCached) {
   Enricher e(world_->geo, world_->as);
   LatencySample s = sample();
   s.server = Ipv4Address(203, 0, 113, 1);  // not in the world
-  for (int i = 0; i < 4; ++i) e.enrich(s);
+  for (int i = 0; i < 4; ++i) (void)e.enrich(s);
   // The unlocated server misses once, then hits its cached negative.
   EXPECT_EQ(e.stats().cache_misses, 2u);
   EXPECT_EQ(e.stats().cache_hits, 6u);
@@ -166,7 +166,7 @@ TEST_F(EnricherTest, StatsAreTheSingleSourceOfTruth) {
   // the old LruCache kept its own duplicate counters; these are the only
   // ones now.
   Enricher e(world_->geo, world_->as);
-  for (int i = 0; i < 25; ++i) e.enrich(sample());
+  for (int i = 0; i < 25; ++i) (void)e.enrich(sample());
   EXPECT_EQ(e.stats().cache_hits + e.stats().cache_misses, 2u * e.stats().enriched);
 }
 

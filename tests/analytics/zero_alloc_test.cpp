@@ -35,9 +35,11 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   return std::malloc(size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+// Out of line, so the compiler never sees the replacement new's malloc
+// meet a delete it inlined and call the pair mismatched.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace ruru {
 namespace {

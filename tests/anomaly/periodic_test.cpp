@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/random.hpp"
 
 namespace ruru {
@@ -105,6 +107,21 @@ TEST(PeriodicDetector, AlertsCarryFindingDetails) {
   EXPECT_EQ(alerts[0].kind, "periodic-glitch");
   EXPECT_GT(alerts[0].score, 3.0);
   EXPECT_NE(alerts[0].detail.find("recurring spike"), std::string::npos);
+}
+
+TEST(PeriodicDetector, TimesNearInt64MinFoldIntoTheirOffset) {
+  // INT64_MIN + 5 ns lies 763.1 s into its day (floor modulo), so in the
+  // bucket that starts at 720 s; folding it must not overflow.
+  auto cfg = day_config();
+  cfg.min_periods = 1;
+  cfg.min_samples = 1;
+  PeriodicSpikeDetector d(cfg);
+  const Timestamp t{std::numeric_limits<std::int64_t>::min() + 5};
+  for (int i = 0; i < 100; ++i) d.add(t + Duration::from_sec(7200.0 + i), Duration::from_ms(130));
+  d.add(t, Duration::from_ms(4130));
+  const auto findings = d.findings();
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].offset_in_period.ns, Duration::from_sec(720.0).ns);
 }
 
 TEST(PeriodicDetector, BucketCountCoversPeriod) {

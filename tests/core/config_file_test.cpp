@@ -180,10 +180,14 @@ TEST(PipelineConfigFile, PerSampleStorageToggle) {
 }
 
 TEST(PipelineConfigFile, LinkMeterKeys) {
-  const auto r = pipeline_config_from_text("[meter]\nenabled = false\nwindow_s = 5\n");
+  const auto r = pipeline_config_from_text("[meter]\nwindow_s = 5\n");
   ASSERT_TRUE(r.ok()) << r.error();
-  EXPECT_FALSE(r.value().enable_link_meter);
   EXPECT_EQ(r.value().link_meter_window.ns, Duration::from_sec(5).ns);
+  // The meter always runs (retention is anchored at its last window), so
+  // the old on/off switch is refused, by name.
+  const auto off = pipeline_config_from_text("[meter]\nenabled = false\n");
+  ASSERT_FALSE(off.ok());
+  EXPECT_NE(off.error().find("meter.enabled"), std::string::npos) << off.error();
 }
 
 TEST(PipelineConfigFile, BusBatchKeys) {

@@ -41,7 +41,7 @@ TEST(Robustness, RandomGarbageFramesNeverCrashThePipeline) {
   EXPECT_EQ(s.nic.rx_packets + s.nic.dropped_queue_full + s.nic.dropped_no_mbuf, 20'000u);
   EXPECT_EQ(s.tracker.samples_emitted, 0u);
   std::uint64_t classified = 0;
-  for (const auto c : s.workers.parse_status) classified += c;
+  for (const auto& c : s.workers.parse_status) classified += c;
   EXPECT_EQ(classified, s.workers.packets);
 }
 
@@ -159,7 +159,7 @@ TEST_P(ConservationTest, CountsBalanceAcrossAllStages) {
   // Worker conservation: every received packet either classified by the
   // full parser or skipped by the pre-parse fast path, exactly once.
   std::uint64_t classified = 0;
-  for (const auto c : s.workers.parse_status) classified += c;
+  for (const auto& c : s.workers.parse_status) classified += c;
   EXPECT_EQ(classified + s.workers.fast_path_skips, s.workers.packets);
   EXPECT_GT(s.workers.fast_path_skips, 0u);  // data segments did take the fast path
   EXPECT_EQ(s.workers.packets, s.nic.rx_packets);

@@ -58,6 +58,13 @@ TEST(LinkMeter, WindowStartsAlignToGrid) {
   meter.on_packet(Timestamp::from_ms(1250), 1);
   ASSERT_EQ(meter.closed().size(), 1u);
   EXPECT_EQ(meter.closed()[0].start.ns, 0);  // aligned, not 750 ms
+
+  // Before the epoch the grid floors too: -1.5 s lies in [-2 s, -1 s).
+  LinkMeter early(Duration::from_sec(1.0));
+  early.on_packet(Timestamp::from_ms(-1500), 1);
+  early.flush();
+  ASSERT_EQ(early.closed().size(), 1u);
+  EXPECT_EQ(early.closed()[0].start.ns, Timestamp::from_ms(-2000).ns);
 }
 
 }  // namespace

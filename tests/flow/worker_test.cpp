@@ -251,7 +251,7 @@ TEST_F(WorkerTest, FastPathSkipsEstablishedDataSegments) {
   EXPECT_EQ(worker.stats().packets, 23u);
   EXPECT_EQ(worker.stats().fast_path_skips, 20u);
   std::uint64_t classified = 0;
-  for (const auto c : worker.stats().parse_status) classified += c;
+  for (const auto& c : worker.stats().parse_status) classified += c;
   EXPECT_EQ(classified, 3u);  // only the handshake hit the full parser
 }
 
@@ -270,7 +270,7 @@ TEST_F(WorkerTest, FastPathDisabledParsesEverything) {
   ASSERT_EQ(samples.size(), 1u);
   EXPECT_EQ(worker.stats().fast_path_skips, 0u);
   std::uint64_t classified = 0;
-  for (const auto c : worker.stats().parse_status) classified += c;
+  for (const auto& c : worker.stats().parse_status) classified += c;
   EXPECT_EQ(classified, worker.stats().packets);
 }
 

@@ -30,7 +30,9 @@ std::string temp_path(const char* tag) {
 void write_bytes(const std::string& path, const std::vector<std::uint8_t>& data) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  if (!data.empty()) ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+  if (!data.empty()) {
+    ASSERT_EQ(std::fwrite(data.data(), 1, data.size(), f), data.size());
+  }
   std::fclose(f);
 }
 

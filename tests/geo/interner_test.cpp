@@ -82,7 +82,9 @@ TEST(StringInterner, ConcurrentReadersSeeConsistentViews) {
         for (std::uint32_t id = n > 16 ? n - 16 : 0; id < n; ++id) {
           const std::string_view v = in.view(id);
           // Either empty (only id 0) or a writer-format string.
-          if (id != 0) EXPECT_EQ(v.substr(0, 2), "w-");
+          if (id != 0) {
+            EXPECT_EQ(v.substr(0, 2), "w-");
+          }
         }
       }
     });

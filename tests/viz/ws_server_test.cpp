@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <thread>
 
 namespace ruru {
@@ -79,6 +80,35 @@ TEST(WsServer, RejectsNonWebsocketRequest) {
   }
   EXPECT_EQ(server.rejected_handshakes(), 1u);
   EXPECT_EQ(server.client_count(), 0u);
+}
+
+TEST(WsServer, IdleConnectionDoesNotBlockUpgradesOrClose) {
+  WsServer server;
+  ASSERT_TRUE(server.bind(0).ok());
+  // A peer that connects and never sends its upgrade request: a port
+  // scanner, or a browser's idle pre-connect.
+  const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+
+  auto upgrade = std::async(std::launch::async,
+                            [&] { return ws_client_connect("127.0.0.1", server.port()); });
+  const bool upgraded =
+      upgrade.wait_for(std::chrono::seconds(3)) == std::future_status::ready;
+  auto closing = std::async(std::launch::async, [&] { server.close(); });
+  const bool closed = closing.wait_for(std::chrono::seconds(3)) == std::future_status::ready;
+  // Hanging up the idle peer releases a server stuck on it, so a failure
+  // reports here rather than hanging the test.
+  ::close(idle);
+  closing.wait();
+  EXPECT_TRUE(upgraded) << "a silent connection stalled the accept loop";
+  EXPECT_TRUE(closed) << "close() waited on a silent connection";
+  EXPECT_EQ(server.rejected_handshakes(), 1u);
+  const auto fd = upgrade.get();
+  if (fd.ok()) ::close(fd.value());
 }
 
 TEST(WsServer, DisconnectedClientPruned) {

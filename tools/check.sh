@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Correctness gates, one build directory each:
 #
-#   asan        every test suite under ASan+UBSan (build-asan/).  The
+#   asan        every test suite under ASan+UBSan (build-asan/), built
+#               with RURU_WERROR=ON so a new warning fails the gate.  The
 #               capture front end, the SIMD flow table, the timestamp
 #               rings, the Gorilla codec, the WAL recovery path and the
 #               geo loaders all index raw bytes or shift raw lanes, so
@@ -13,7 +14,9 @@
 #               (metrics snapshots, tracing rings, watchdog, sharded
 #               scale-out, in-flow workers), the enrichment pool's N
 #               consumers on one subscription, and the sharded TSDB
-#               engine's reader/writer decoupling.
+#               engine's reader/writer decoupling, and the WebSocket
+#               feed's push server (its accept thread admits clients
+#               while broadcasts walk the client list).
 #   invariants  un-sanitized (build/) so timing is representative: the
 #               bit-identity and conservation invariants by name, then
 #               the fig2 worker smoke, which fails when the vector poll
@@ -37,11 +40,11 @@ SUITES=(test_util test_net test_driver test_capture test_flow test_msg test_geo 
 
 if [ "$MODE" = "asan" ]; then
   BUILD="$ROOT/build-asan"
-  cmake -B "$BUILD" -S "$ROOT" -DRURU_SANITIZE=address+undefined \
+  cmake -B "$BUILD" -S "$ROOT" -DRURU_SANITIZE=address+undefined -DRURU_WERROR=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$BUILD" -j"$JOBS" --target "${SUITES[@]}"
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS")
-  echo "asan gate OK: every suite ASan+UBSan-clean"
+  echo "asan gate OK: every suite warning-free and ASan+UBSan-clean"
   exit 0
 fi
 
@@ -49,7 +52,8 @@ if [ "$MODE" = "tsan" ]; then
   BUILD="$ROOT/build-tsan"
   cmake -B "$BUILD" -S "$ROOT" -DRURU_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$BUILD" -j"$JOBS" \
-    --target test_msg test_flow test_util test_driver test_obs test_core test_tsdb test_analytics
+    --target test_msg test_flow test_util test_driver test_obs test_core test_tsdb test_analytics \
+    test_viz
   # Each suite's tests carry its binary name as a ctest label.
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" \
     -L '^(test_msg|test_flow|test_util|test_driver)$')
@@ -57,7 +61,8 @@ if [ "$MODE" = "tsan" ]; then
     -R 'Metrics|Snapshot|Prometheus|JsonLines|SelfIngest|Pipeline|FanIn|PubSub|BusQueue|Nic|LcoreLauncher|Scaling|Inflow|Worker|Trace|TscClock|Watchdog')
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" -L '^test_analytics$' -R '^PoolTest\.')
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" -L '^test_tsdb$' -R '^EngineConcurrency\.')
-  echo "tsan gate OK: bus, lanes, workers, telemetry, tracing, enrichment pool, TSDB shards TSan-clean"
+  (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" -L '^test_viz$' -R '^WsServer\.')
+  echo "tsan gate OK: bus, lanes, workers, telemetry, tracing, enrichment pool, TSDB shards, WebSocket feed TSan-clean"
   exit 0
 fi
 
