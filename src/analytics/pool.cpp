@@ -25,6 +25,7 @@ void EnrichmentPool::start() {
   threads_.reserve(thread_count_);
   for (std::size_t i = 0; i < thread_count_; ++i) {
     threads_.emplace_back([this, i] {
+      const ThreadCpuMeter::Member metered(cpu_);
       if (i < pin_cpus_.size() && pin_cpus_[i] != kNoCpuPin) {
         if (LcoreLauncher::pin_self(pin_cpus_[i])) {
           pinned_.fetch_add(1, std::memory_order_relaxed);

@@ -15,6 +15,7 @@
 #include "msg/pubsub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/thread_cpu.hpp"
 
 namespace ruru {
 
@@ -80,6 +81,8 @@ class EnrichmentPool {
   [[nodiscard]] std::uint64_t processed() const { return processed_.load(); }
   /// Messages (not samples) whose payload was rejected.
   [[nodiscard]] std::uint64_t decode_failures() const { return decode_failures_.load(); }
+  /// CPU time (ns) the pool's threads have used, running or joined.
+  [[nodiscard]] std::uint64_t cpu_ns() const { return cpu_.total_ns(); }
   /// Aggregated cache stats across workers (valid after stop()).
   [[nodiscard]] EnricherStats combined_stats() const;
 
@@ -95,6 +98,7 @@ class EnrichmentPool {
   std::vector<int> pin_cpus_;
   std::atomic<std::size_t> pinned_{0};
   std::atomic<std::size_t> pin_failures_{0};
+  ThreadCpuMeter cpu_;
   std::vector<std::thread> threads_;
   std::vector<std::unique_ptr<Enricher>> enrichers_;
   std::atomic<std::uint64_t> processed_{0};

@@ -36,6 +36,7 @@ constexpr StageCounter<NicStats> kNicCounters[] = {
 constexpr StageCounter<WorkerStats> kWorkerCounters[] = {
     {"worker.polls", &WorkerStats::polls},
     {"worker.empty_polls", &WorkerStats::empty_polls},
+    {"worker.parks", &WorkerStats::parks},
     {"worker.packets", &WorkerStats::packets},
     {"worker.bytes", &WorkerStats::bytes},
     {"worker.fast_path_skips", &WorkerStats::fast_path_skips},
@@ -205,9 +206,10 @@ RuruPipeline::RuruPipeline(PipelineConfig config, const GeoDatabase& geo, const 
     wc.stall_after = config_.watchdog_stall_after;
     watchdog_ = std::make_unique<obs::Watchdog>(wc, &tracer_);
     // Heartbeats: each stage's own progress counter.  Worker polls and
-    // snapshot ticks must always advance (a poll loop spins, a timer
-    // ticks); enrichment and the TSDB sink are only stalled if frozen
-    // *with* bus backlog — an idle pipeline is healthy.
+    // snapshot ticks must always advance (a parked worker still polls
+    // once per park timeout, a timer ticks); enrichment and the TSDB
+    // sink are only stalled if frozen *with* bus backlog — an idle
+    // pipeline is healthy.
     for (std::uint16_t q = 0; q < config_.num_queues; ++q) {
       QueueWorker* w = workers_[q].get();
       watchdog_->add_stage("worker.q" + std::to_string(q),
@@ -287,6 +289,8 @@ void RuruPipeline::register_metrics() {
   sum_workers(kInflowCounters, [](const QueueWorker& w) -> const InflowStats& {
     return w.tracker().inflow_stats();
   });
+  // Per-stage thread CPU, read live from the threads' CPU clocks.
+  metrics_.register_counter_fn("worker.cpu_ns", [this] { return lcores_.cpu_ns(); });
   metrics_.register_gauge_fn("flow.entries", [this] {
     std::size_t total = 0;
     for (const auto& w : workers_) total += w->tracker().table().size();
@@ -308,6 +312,8 @@ void RuruPipeline::register_metrics() {
   metrics_.register_counter_fn("enrich.processed", [this] { return enrichment_->processed(); });
   metrics_.register_counter_fn("enrich.decode_failures",
                                [this] { return enrichment_->decode_failures(); });
+  metrics_.register_counter_fn("enrich.parks", [this] { return enrichment_sub_->parks(); });
+  metrics_.register_counter_fn("enrich.cpu_ns", [this] { return enrichment_->cpu_ns(); });
   metrics_.register_counter_fn("enrich.unlocated", [this] {
     return enrichment_->combined_stats().unlocated.load();
   });
@@ -656,6 +662,9 @@ PipelineSummary RuruPipeline::summary() const {
   s.bus_dropped = snap.counter_or("bus.dropped");
   s.enriched = snap.counter_or("enrich.processed");
   s.decode_failures = snap.counter_or("enrich.decode_failures");
+  s.enrich_parks = snap.counter_or("enrich.parks");
+  s.worker_cpu_ns = snap.counter_or("worker.cpu_ns");
+  s.enrich_cpu_ns = snap.counter_or("enrich.cpu_ns");
   s.unlocated = snap.counter_or("enrich.unlocated");
   s.tsdb_points = snap.counter_or("tsdb.points");
   s.alerts = snap.counter_or("alerts.raised");

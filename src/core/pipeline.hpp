@@ -338,6 +338,9 @@ struct PipelineSummary {
   std::uint64_t bus_dropped = 0;          ///< samples lost to the HWM (whole batches)
   std::uint64_t enriched = 0;             ///< samples enriched
   std::uint64_t decode_failures = 0;
+  std::uint64_t enrich_parks = 0;   ///< enricher sleeps on the bus doorbell
+  std::uint64_t worker_cpu_ns = 0;  ///< CPU time of the worker lcores
+  std::uint64_t enrich_cpu_ns = 0;  ///< CPU time of the enrichment threads
   std::uint64_t unlocated = 0;
   std::uint64_t tsdb_points = 0;
   std::size_t alerts = 0;

@@ -25,6 +25,7 @@ bool LcoreLauncher::pin_self(int cpu) {
 std::uint32_t LcoreLauncher::launch(LcoreMain main, int pin_cpu) {
   const auto id = static_cast<std::uint32_t>(threads_.size());
   threads_.emplace_back([this, id, pin_cpu, main = std::move(main)] {
+    const ThreadCpuMeter::Member metered(cpu_);
     if (pin_cpu != kNoCpuPin) {
       if (pin_self(pin_cpu)) {
         pinned_.fetch_add(1, std::memory_order_acq_rel);

@@ -8,13 +8,16 @@
 // flow table and accumulators stay on one core's cache for the life of
 // the run.  Pinning is best-effort — on hosts with fewer cores than the
 // topology asks for (CI containers), the failure is counted and the
-// thread runs unpinned rather than aborting the pipeline.
+// thread runs unpinned rather than aborting the pipeline.  The launcher
+// also meters its lcores' CPU time, live and after they exit.
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <thread>
 #include <vector>
+
+#include "util/thread_cpu.hpp"
 
 namespace ruru {
 
@@ -51,6 +54,8 @@ class LcoreLauncher {
   [[nodiscard]] std::size_t pin_failures() const {
     return pin_failures_.load(std::memory_order_acquire);
   }
+  /// CPU time (ns) every lcore launched so far has used, running or not.
+  [[nodiscard]] std::uint64_t cpu_ns() const { return cpu_.total_ns(); }
 
   /// Pin the *calling* thread to `cpu`. Exposed so producer lanes (which
   /// are not launcher threads) can join the pinned topology. Returns
@@ -61,6 +66,7 @@ class LcoreLauncher {
   std::atomic<bool> stop_{false};
   std::atomic<std::size_t> pinned_{0};
   std::atomic<std::size_t> pin_failures_{0};
+  ThreadCpuMeter cpu_;
   std::vector<std::thread> threads_;
 };
 

@@ -31,7 +31,7 @@ SimNic::SimNic(const NicConfig& config, Mempool& pool)
   lane_stats_.resize(config_.num_queues);
   lane_scratch_.resize(config_.num_queues);
   for (std::uint16_t q = 0; q < config_.num_queues; ++q) {
-    queues_.push_back(std::make_unique<SpscRing<MbufPtr>>(config_.queue_depth));
+    queues_.push_back(std::make_unique<RxQueue>(config_.queue_depth));
   }
 }
 
@@ -117,7 +117,8 @@ std::size_t SimNic::inject_burst(std::span<const RxFrame> frames, bool* queued) 
   for (std::uint16_t q = 0; q < config_.num_queues; ++q) {
     auto& staged = staging_[q];
     if (staged.empty()) continue;
-    const std::size_t pushed = queues_[q]->push_burst(staged.data(), staged.size());
+    const std::size_t pushed = queues_[q]->ring.push_burst(staged.data(), staged.size());
+    if (pushed != 0) queues_[q]->bell.ring();
     for (std::size_t j = 0; j < pushed; ++j) {
       const std::uint32_t frame_index = staged_frames_[q][j];
       ++stats_.rx_packets;
@@ -182,7 +183,8 @@ std::size_t SimNic::inject_shard(std::uint16_t queue, std::span<const RxFrame> f
   }
   // Release unused pre-allocated mbufs back to the pool.
   for (std::size_t j = staged; j < got; ++j) scratch.mbufs[j].reset();
-  const std::size_t pushed = queues_[queue]->push_burst(scratch.mbufs.data(), staged);
+  const std::size_t pushed = queues_[queue]->ring.push_burst(scratch.mbufs.data(), staged);
+  if (pushed != 0) queues_[queue]->bell.ring();
   for (std::size_t j = 0; j < pushed; ++j) {
     const std::uint32_t frame_index = scratch.frame_index[j];
     ++stats.rx_packets;
@@ -199,11 +201,16 @@ std::size_t SimNic::inject_shard(std::uint16_t queue, std::span<const RxFrame> f
 }
 
 std::size_t SimNic::rx_burst(std::uint16_t queue, std::span<MbufPtr> out) {
-  return queues_[queue]->pop_burst(out.data(), out.size());
+  return queues_[queue]->ring.pop_burst(out.data(), out.size());
+}
+
+ParkResult SimNic::wait_rx(std::uint16_t queue, std::chrono::nanoseconds timeout) {
+  RxQueue& rx = *queues_[queue];
+  return rx.bell.park([&rx] { return rx.ring.size() != 0; }, timeout);
 }
 
 std::size_t SimNic::queue_occupancy(std::uint16_t queue) const {
-  return queues_[queue]->size();
+  return queues_[queue]->ring.size();
 }
 
 }  // namespace ruru

@@ -22,6 +22,12 @@
 // Drop accounting mirrors hardware: mempool exhaustion and full RX rings
 // are counted, never blocked on — a latency tap must not apply
 // backpressure to the wire.
+//
+// Rx interrupts, futex style: each queue has a Doorbell that both
+// producer topologies ring after a push, so a worker that found its
+// queue idle can park in wait_rx() instead of spinning (DPDK
+// l3fwd-power's rx-interrupt mode).  With no worker parked, a ring is
+// one RMW per queue per burst and no syscall.
 
 #include <cstdint>
 #include <memory>
@@ -30,6 +36,7 @@
 
 #include "driver/mempool.hpp"
 #include "driver/toeplitz.hpp"
+#include "util/doorbell.hpp"
 #include "util/spsc_ring.hpp"
 #include "util/stat_cell.hpp"
 #include "util/time.hpp"
@@ -104,6 +111,11 @@ class SimNic {
   /// Safe to call concurrently across *different* queues.
   std::size_t rx_burst(std::uint16_t queue, std::span<MbufPtr> out);
 
+  /// Park `queue`'s consumer until a producer pushes to that queue or
+  /// `timeout` passes; returns at once (kReady) when the queue already
+  /// holds frames.  Only the queue's one consumer may call it.
+  ParkResult wait_rx(std::uint16_t queue, std::chrono::nanoseconds timeout);
+
   [[nodiscard]] std::uint16_t num_queues() const { return config_.num_queues; }
   /// Whole-port producer shard only (inject()/inject_burst() callers).
   /// Sharded-lane traffic lands in lane_stats(); use stats_totals() for
@@ -134,10 +146,18 @@ class SimNic {
     std::vector<std::uint32_t> frame_index;
   };
 
+  /// One RX queue: the ring and the doorbell its producer rings after
+  /// a push.
+  struct RxQueue {
+    explicit RxQueue(std::size_t depth) : ring(depth) {}
+    SpscRing<MbufPtr> ring;
+    Doorbell bell;
+  };
+
   NicConfig config_;
   Mempool& pool_;
   ToeplitzTable rss_table_;  ///< derived from config_.rss_key once
-  std::vector<std::unique_ptr<SpscRing<MbufPtr>>> queues_;
+  std::vector<std::unique_ptr<RxQueue>> queues_;
   /// Per-queue staging for inject_burst, with the originating frame
   /// index alongside each mbuf (so a partial push can report exactly
   /// which frames dropped). Reused across bursts; producer-thread only.

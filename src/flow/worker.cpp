@@ -421,8 +421,19 @@ std::size_t QueueWorker::poll_once_vector() {
 }
 
 void QueueWorker::run(const std::atomic<bool>& stop) {
+  std::size_t budget = kSpinPollsPerFrame;  // from the last non-empty burst
+  std::size_t idle = 0;                     // empty polls since then
   while (!stop.load(std::memory_order_acquire)) {
-    poll_once();
+    const std::size_t n = poll_once();
+    if (n != 0) {
+      budget = std::min(n * kSpinPollsPerFrame, kMaxSpinPolls);
+      idle = 0;
+    } else if (++idle >= budget &&
+               nic_.wait_rx(queue_id_, kParkTimeout) != ParkResult::kReady) {
+      // `idle` stays past the budget: after a park that timed out, the
+      // next empty poll parks again at once.
+      ++stats_.parks;
+    }
   }
   // Final drain so no injected frame is lost at shutdown.  The drain's
   // terminating empty poll flushed the batch accumulator (flush_batch is

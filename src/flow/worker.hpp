@@ -74,6 +74,10 @@ struct WorkerObs {
 struct WorkerStats {
   StatCell polls = 0;
   StatCell empty_polls = 0;
+  /// Times run() slept on its queue's doorbell after its spin budget of
+  /// empty polls ran out.  Counted apart from empty_polls, which keeps
+  /// meaning "polls that found nothing".
+  StatCell parks = 0;
   StatCell packets = 0;
   StatCell bytes = 0;
   /// Counts by ParseStatus value (kOk..kMalformed). Packets the fast
@@ -132,6 +136,12 @@ class QueueWorker {
   /// Upper bound on the rx-loop prefetch depth (lookahead distance in
   /// mbufs); deeper than this outruns any plausible L1 latency.
   static constexpr std::size_t kMaxPrefetchDepth = 4;
+  /// run()'s spin budget: empty polls allowed per frame of the last
+  /// non-empty burst before the worker parks, up to kMaxSpinPolls.  Full
+  /// bursts (a loaded queue) keep the worker spinning between them;
+  /// one- or two-frame bursts (a quiet tap) let it park almost at once.
+  static constexpr std::size_t kSpinPollsPerFrame = 64;
+  static constexpr std::size_t kMaxSpinPolls = 2048;
 
   /// Which poll-loop implementation runs.  kVector (the default) is the
   /// staged lane pipeline; kScalar is the retired one-probe-per-packet
@@ -213,6 +223,9 @@ class QueueWorker {
   std::size_t poll_once();
 
   /// Poll until `stop` becomes true, then drain the queue dry once.
+  /// Between bursts the worker spins its budget of empty polls, then
+  /// parks on the queue's doorbell (SimNic::wait_rx) for at most
+  /// kParkTimeout, so `stop` is seen within about a millisecond.
   void run(const std::atomic<bool>& stop);
 
   [[nodiscard]] const WorkerStats& stats() const { return stats_; }

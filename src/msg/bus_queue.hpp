@@ -4,45 +4,19 @@
 // The bus publish path must take zero locks — a publisher's offer is a
 // CAS ticket claim on the ring plus two relaxed counter bumps, never a
 // mutex, and a full queue drops instead of blocking.  The queue itself
-// only offers non-blocking ops; the bus's one blocking receive loop
-// (Subscription::recv_shard) is built from them with the spin -> yield
-// -> sleep Backoff below instead of a condition variable, so no mutex
-// exists anywhere on the path.
+// only offers non-blocking ops; the bus's one blocking receive
+// (Subscription::recv_shard) spins a few empty polls over them, then
+// parks on the subscription's Doorbell, which every offer and close()
+// rings — a futex, not a condition variable, so no mutex exists
+// anywhere on the path.
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <optional>
-#include <thread>
 
 #include "driver/ring.hpp"
 
 namespace ruru {
-
-namespace detail {
-
-/// Escalating wait: brief spin, then yield, then short sleeps. Keeps
-/// wakeup latency in the tens of microseconds without a condvar.
-class Backoff {
- public:
-  void pause() {
-    if (rounds_ < kSpinRounds) {
-      ++rounds_;
-    } else if (rounds_ < kSpinRounds + kYieldRounds) {
-      ++rounds_;
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-
- private:
-  static constexpr int kSpinRounds = 64;
-  static constexpr int kYieldRounds = 32;
-  int rounds_ = 0;
-};
-
-}  // namespace detail
 
 template <typename T>
 class BusQueue {
@@ -64,8 +38,8 @@ class BusQueue {
   /// Non-blocking pop. Lock-free.
   std::optional<T> try_pop() { return ring_.try_pop(); }
 
-  /// After close(): pushes fail, pops drain the backlog.  Idempotent;
-  /// wakes pollers by virtue of them polling.
+  /// After close(): pushes fail, pops drain the backlog.  Idempotent.
+  /// (Parked receivers are woken by the subscription's doorbell.)
   void close() { closed_.store(true, std::memory_order_release); }
 
   [[nodiscard]] bool closed() const { return closed_.load(std::memory_order_acquire); }

@@ -4,6 +4,10 @@ namespace ruru {
 
 namespace {
 
+/// Empty polls a blocking receive spins before it parks.  Short: most of
+/// a bus wait is the gap between worker batches, far longer than a spin.
+constexpr std::size_t kSpinPolls = 8;
+
 /// The queues shard `shard` of `nshards` owns, as indices into a queue
 /// list of `nlanes` lanes plus the shared queue (index `nlanes`): lanes
 /// shard, shard + nshards, ..., then, for shard 0, the shared queue.  A
@@ -42,23 +46,39 @@ std::optional<Message> Subscription::try_recv_shard(std::size_t shard, std::size
 }
 
 std::optional<Message> Subscription::recv_shard(std::size_t shard, std::size_t nshards) {
-  detail::Backoff backoff;
-  while (true) {
+  for (std::size_t empty = 0;; ++empty) {
     if (auto v = try_recv_shard(shard, nshards)) return v;
-    if (drained(shard, nshards)) return std::nullopt;
-    backoff.pause();
+    const Scan now = scan(shard, nshards);
+    if (!now.pending && now.closed) return std::nullopt;  // drained
+    if (empty >= kSpinPolls) wait_shard(shard, nshards, kParkTimeout);
   }
 }
 
-bool Subscription::drained(std::size_t shard, std::size_t nshards) const {
+ParkResult Subscription::wait_shard(std::size_t shard, std::size_t nshards,
+                                    std::chrono::nanoseconds timeout) {
+  // Re-checked after registering on the doorbell: a message, or the
+  // close() that drains the shard, means there is no reason to sleep.
+  const ParkResult result = bell_.park(
+      [&] {
+        const Scan now = scan(shard, nshards);
+        return now.pending || now.closed;
+      },
+      timeout);
+  if (result != ParkResult::kReady) parks_.fetch_add(1, std::memory_order_relaxed);
+  return result;
+}
+
+Subscription::Scan Subscription::scan(std::size_t shard, std::size_t nshards) const {
   // A push that claimed its ring ticket before close() is counted by
   // size(), so closed + all-empty means nothing more can arrive.
   const Owned own(shard, nshards, lanes());
+  Scan s;
   for (std::size_t k = 0; k < own.count; ++k) {
     const BusQueue<Message>& q = *queues_[own[k]];
-    if (!q.closed() || q.size() != 0) return false;
+    s.pending = s.pending || q.size() != 0;
+    s.closed = s.closed && q.closed();
   }
-  return true;
+  return s;
 }
 
 std::size_t Subscription::pending() const {
@@ -69,6 +89,7 @@ std::size_t Subscription::pending() const {
 
 void Subscription::close() {
   for (auto& q : queues_) q->close();
+  bell_.ring();
 }
 
 PubSocket::~PubSocket() {

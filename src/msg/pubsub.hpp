@@ -28,6 +28,13 @@
 // or sharded, blocking or not — runs the one sharded receive body; a
 // plain receive is shard 0 of 1.
 //
+// A blocking receive that finds its queues empty spins a few polls, then
+// parks on the subscription's Doorbell (util/doorbell.hpp).  Every
+// accepted offer and close() ring it; with no receiver parked that is
+// one RMW and no syscall.  The wake is wake-all, so sharded receivers
+// and an unsharded pool share one doorbell and each re-checks its own
+// queues.
+//
 // Counters are denominated in *samples*, not messages: publish() takes
 // the number of samples the message carries (a batched latency frame
 // carries many), so delivered/dropped/published stay truthful when the
@@ -44,6 +51,7 @@
 
 #include "msg/bus_queue.hpp"
 #include "msg/message.hpp"
+#include "util/doorbell.hpp"
 
 namespace ruru {
 
@@ -80,6 +88,12 @@ class Subscription {
   /// as shard 0 of 1.
   std::optional<Message> recv_shard(std::size_t shard, std::size_t nshards);
   std::optional<Message> try_recv_shard(std::size_t shard, std::size_t nshards);
+  /// The blocking receive's idle step: sleep on the doorbell until a
+  /// message lands on one of the shard's queues or the last of them
+  /// closes, or `timeout` passes; kReady at once when either already
+  /// holds.  recv_shard() waits kParkTimeout at a time.
+  ParkResult wait_shard(std::size_t shard, std::size_t nshards,
+                        std::chrono::nanoseconds timeout);
 
   [[nodiscard]] const std::string& prefix() const { return prefix_; }
   [[nodiscard]] std::size_t lanes() const { return queues_.size() - 1; }
@@ -93,7 +107,10 @@ class Subscription {
   }
   /// Queued messages (not samples) awaiting receive, across all lanes.
   [[nodiscard]] std::size_t pending() const;
+  /// Times a receiver slept on the doorbell (any receiver).
+  [[nodiscard]] std::uint64_t parks() const { return parks_.load(std::memory_order_relaxed); }
 
+  /// Closes every queue and wakes parked receivers at once.
   void close();
 
  private:
@@ -107,12 +124,18 @@ class Subscription {
   bool offer(std::size_t lane, const Message& m, std::uint64_t samples) {
     const bool ok = queues_[std::min(lane, lanes())]->try_push(m);
     (ok ? delivered_ : dropped_).fetch_add(samples, std::memory_order_relaxed);
+    if (ok) bell_.ring();
     return ok;
   }
 
-  /// Every queue the shard owns is closed and empty: nothing more can
-  /// arrive for it.
-  [[nodiscard]] bool drained(std::size_t shard, std::size_t nshards) const;
+  /// The queues a shard owns, at a glance: whether any holds a message,
+  /// and whether all are closed.  Closed and not pending is drained:
+  /// nothing more can arrive for the shard.
+  struct Scan {
+    bool pending = false;
+    bool closed = true;
+  };
+  [[nodiscard]] Scan scan(std::size_t shard, std::size_t nshards) const;
 
   std::string prefix_;
   /// Per-publisher-lane queues, then the shared queue; unique_ptr because
@@ -123,6 +146,9 @@ class Subscription {
   /// Round-robin receive cursor (fairness across queues, shared by a
   /// consumer pool).
   std::atomic<std::uint64_t> rr_{0};
+  std::atomic<std::uint64_t> parks_{0};
+  /// Where idle blocking receivers park; offer() and close() ring it.
+  Doorbell bell_;
 };
 
 class PubSocket {

@@ -4,7 +4,9 @@
 // and the Prometheus file appears on disk.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -263,6 +265,7 @@ TEST(PipelineCounters, EveryStageCounterAgreesWithItsStageStruct) {
       ExpectedCounters<WorkerStats>{
           {"worker.polls", &WorkerStats::polls},
           {"worker.empty_polls", &WorkerStats::empty_polls},
+          {"worker.parks", &WorkerStats::parks},
           {"worker.packets", &WorkerStats::packets},
           {"worker.bytes", &WorkerStats::bytes},
           {"worker.fast_path_skips", &WorkerStats::fast_path_skips},
@@ -319,10 +322,62 @@ TEST(PipelineCounters, EveryStageCounterAgreesWithItsStageStruct) {
       [](const QueueWorker& w) -> const InflowStats& { return w.tracker().inflow_stats(); },
       static_cast<const InflowStats*>(nullptr));
 
-  EXPECT_EQ(names, 45u);
+  EXPECT_EQ(names, 46u);
   // Distinct non-zero values are what expose a swapped cell; the burst
   // and the in-flow kernel make most of them count.
   EXPECT_GE(nonzero, 25u);
+}
+
+std::int64_t cpu_ns(int who) {
+  rusage ru{};
+  getrusage(who, &ru);
+  const auto ns = [](const timeval& tv) {
+    return static_cast<std::int64_t>(tv.tv_sec) * 1'000'000'000 +
+           static_cast<std::int64_t>(tv.tv_usec) * 1'000;
+  };
+  return ns(ru.ru_utime) + ns(ru.ru_stime);
+}
+
+/// CPU time of every thread of the process but the calling one.
+std::int64_t other_threads_cpu_ns() { return cpu_ns(RUSAGE_SELF) - cpu_ns(RUSAGE_THREAD); }
+
+// The per-stage thread clocks account for the pipeline's CPU: with
+// metrics, snapshots and the watchdog off, the workers and the enricher
+// are the only threads besides this one, which plays the NIC.
+TEST(PipelineCounters, StageCpuClocksAddUpToPipelineThreadCpu) {
+  const World world = scenario_world();
+  PipelineConfig cfg;
+  cfg.num_queues = 2;
+  cfg.enrichment_threads = 1;
+  RuruPipeline pipeline(cfg, world.geo, world.as);
+  auto model = scenarios::transpacific(/*seed=*/21, /*flows_per_sec=*/4000.0,
+                                       Duration::from_sec(3600.0));
+  constexpr std::int64_t kEnoughNs = 200'000'000;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  const std::int64_t before = other_threads_cpu_ns();
+  pipeline.start();
+  std::vector<TimedFrame> frames;
+  std::vector<RxFrame> burst;
+  for (std::uint64_t bursts = 0;; ++bursts) {
+    if (bursts % 64 == 0 && (other_threads_cpu_ns() - before >= kEnoughNs ||
+                             std::chrono::steady_clock::now() > deadline)) {
+      break;
+    }
+    frames.clear();
+    burst.clear();
+    while (frames.size() < QueueWorker::kBurst) frames.push_back(*model.next());
+    for (const TimedFrame& f : frames) burst.push_back({f.frame, f.timestamp});
+    pipeline.inject_burst(burst);
+  }
+  pipeline.finish();
+  const std::int64_t used = other_threads_cpu_ns() - before;
+  ASSERT_GE(used, kEnoughNs);
+
+  const PipelineSummary summary = pipeline.summary();
+  EXPECT_GT(summary.worker_cpu_ns, 0u);
+  EXPECT_GT(summary.enrich_cpu_ns, 0u);
+  const auto metered = static_cast<double>(summary.worker_cpu_ns + summary.enrich_cpu_ns);
+  EXPECT_NEAR(metered, static_cast<double>(used), 0.1 * static_cast<double>(used));
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
+#include <thread>
 
 #include "net/packet_builder.hpp"
 #include "net/packet_view.hpp"
@@ -355,6 +358,44 @@ TEST_F(SimNicTest, StatsTotalsMergePortAndLanes) {
   const NicStats totals = nic.stats_totals();
   EXPECT_EQ(totals.rx_packets, 2u);
   EXPECT_EQ(totals.rx_bytes, f1.size() + f2.size());
+}
+
+TEST_F(SimNicTest, WaitRxReturnsAtOnceWhenTheQueueHoldsFrames) {
+  NicConfig cfg;
+  cfg.num_queues = 1;
+  SimNic nic(cfg, pool_);
+  ASSERT_TRUE(nic.inject(syn_frame(Ipv4Address(10, 0, 0, 1), 1000, Ipv4Address(10, 0, 0, 2), 80),
+                         Timestamp{}));
+  EXPECT_EQ(nic.wait_rx(0, std::chrono::seconds(10)), ParkResult::kReady);
+}
+
+// Both producer topologies ring the queue they pushed to: a parked
+// consumer wakes long before its 10 s timeout.
+TEST_F(SimNicTest, InjectRingsAParkedQueue) {
+  NicConfig cfg;
+  cfg.num_queues = 2;
+  SimNic nic(cfg, pool_);
+  const auto frame = syn_frame(Ipv4Address(10, 1, 0, 7), 30007, Ipv4Address(10, 2, 0, 1), 443);
+  const std::uint16_t q = nic.queue_for(frame);
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "inject_shard" : "inject_burst");
+    std::atomic<bool> running{false};
+    ParkResult result = ParkResult::kReady;
+    std::thread consumer([&] {
+      running.store(true);
+      result = nic.wait_rx(q, std::chrono::seconds(10));
+    });
+    while (!running.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));  // let it sleep
+    const auto t0 = std::chrono::steady_clock::now();
+    const RxFrame rx{frame, Timestamp{}};
+    EXPECT_EQ(sharded ? nic.inject_shard(q, {&rx, 1}) : nic.inject_burst({&rx, 1}), 1u);
+    consumer.join();
+    EXPECT_NE(result, ParkResult::kTimedOut);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+    std::array<MbufPtr, 32> burst;
+    EXPECT_EQ(nic.rx_burst(q, burst), 1u);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "net/packet_builder.hpp"
@@ -347,6 +348,41 @@ TEST_F(WorkerTest, HandshakeOnlyLookupReclaimsStaleEntry) {
     EXPECT_EQ(worker.tracker().table().stats().evictions_stale, 1u);
     EXPECT_EQ(worker.tracker().table().size(), 0u);
   }
+}
+
+// The idle policy end to end: a worker with nothing to do parks, wakes
+// for one injected frame, and still sees its stop flag promptly.
+TEST_F(WorkerTest, IdleWorkerParksThenProcessesAFrameAndStopsPromptly) {
+  using Clock = std::chrono::steady_clock;
+  QueueWorker worker(*nic_, 0, 1024, nullptr);
+  std::atomic<bool> stop{false};
+  std::thread t([&] { worker.run(stop); });
+
+  const auto deadline = Clock::now() + std::chrono::seconds(5);
+  while (worker.stats().parks.load() == 0 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(worker.stats().parks.load(), 0u);
+
+  TcpFrameSpec syn;
+  syn.src_ip = Ipv4Address(10, 1, 0, 1);
+  syn.dst_ip = server_;
+  syn.src_port = 20'000;
+  syn.dst_port = 443;
+  syn.flags = TcpFlags::kSyn;
+  EXPECT_TRUE(nic_->inject(build_tcp_frame(syn), Timestamp::from_ms(1)));
+  while (worker.stats().packets.load() == 0 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(worker.stats().packets.load(), 1u);
+
+  const auto t0 = Clock::now();
+  stop.store(true);
+  t.join();
+  EXPECT_LT(Clock::now() - t0, std::chrono::milliseconds(50));
+  // Parks are not empty polls: every park follows an empty poll, and the
+  // two counters stay apart.
+  EXPECT_GE(worker.stats().empty_polls.load(), worker.stats().parks.load());
 }
 
 TEST_F(WorkerTest, EmptyPollsAreCounted) {

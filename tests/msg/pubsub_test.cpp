@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 namespace ruru {
@@ -86,6 +88,83 @@ TEST(PubSub, BlockingRecvWokenByPublish) {
   pub.publish(msg("t", "wake"));
   consumer.join();
   EXPECT_TRUE(got.load());
+}
+
+// The wake tests park through wait_shard() with a 10 s timeout, far
+// past recv_shard()'s 1 ms bound: a wake-up that does not come shows as
+// a timed-out park, not as a millisecond of extra latency.  (A receiver
+// the scheduler held off until after the publish returns kReady.)
+constexpr auto kLongPark = std::chrono::seconds(10);
+
+/// Waits until `started` threads are running, then long enough for them
+/// to reach their park.
+void let_park(const std::atomic<int>& running, int started) {
+  while (running.load() < started) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
+TEST(PubSub, ParkedShardWokenByPublishOnItsLane) {
+  PubSocket pub(4096, /*fanin_lanes=*/2);
+  auto sub = pub.subscribe("");
+  std::atomic<int> running{0};
+  std::atomic<int> shard0_got{0};
+  std::thread shard0([&] {
+    running.fetch_add(1);
+    while (sub->recv_shard(0, 2)) shard0_got.fetch_add(1);
+  });
+  ParkResult shard1_woke = ParkResult::kReady;
+  std::thread shard1([&] {
+    running.fetch_add(1);
+    shard1_woke = sub->wait_shard(1, 2, kLongPark);
+  });
+  let_park(running, 2);
+  pub.publish_lane(1, msg("t", "lane1"));
+  shard1.join();
+  EXPECT_NE(shard1_woke, ParkResult::kTimedOut);
+  const auto got = sub->try_recv_shard(1, 2);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->frames[1].view(), "lane1");
+  pub.close_all();
+  shard0.join();
+  EXPECT_EQ(shard0_got.load(), 0);  // lane 1 is not shard 0's
+  EXPECT_GE(sub->parks(), 2u);      // both receivers slept on the doorbell
+}
+
+// An unsharded pool shares every queue and one doorbell: one publish
+// wakes both parked receivers, so neither sleeps on to its timeout.
+TEST(PubSub, ParkedPoolReceiversEachWokenByPublish) {
+  PubSocket pub;
+  auto sub = pub.subscribe("");
+  std::atomic<int> running{0};
+  std::array<ParkResult, 2> woke{ParkResult::kReady, ParkResult::kReady};
+  std::array<std::thread, 2> receivers;
+  for (std::size_t i = 0; i < receivers.size(); ++i) {
+    receivers[i] = std::thread([&, i] {
+      running.fetch_add(1);
+      woke[i] = sub->wait_shard(0, 1, kLongPark);
+    });
+  }
+  let_park(running, 2);
+  pub.publish(msg("t", "a"));
+  for (auto& r : receivers) r.join();
+  EXPECT_NE(woke[0], ParkResult::kTimedOut);
+  EXPECT_NE(woke[1], ParkResult::kTimedOut);
+}
+
+TEST(PubSub, CloseWakesAParkedReceiverAtOnce) {
+  PubSocket pub;
+  auto sub = pub.subscribe("");
+  std::atomic<int> running{0};
+  ParkResult woke = ParkResult::kReady;
+  std::thread receiver([&] {
+    running.fetch_add(1);
+    woke = sub->wait_shard(0, 1, kLongPark);
+  });
+  let_park(running, 1);
+  sub->close();
+  receiver.join();
+  EXPECT_NE(woke, ParkResult::kTimedOut);
+  EXPECT_FALSE(sub->recv().has_value());
 }
 
 TEST(PubSub, ConcurrentPublishersAllDeliver) {

@@ -101,7 +101,13 @@ TEST(SnapshotTimerTest, ThreadTicksPeriodicallyAndStopTakesFinalSnapshot) {
 
   timer.start();
   c.add(7);
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  // Wait for two periodic ticks of the 10 ms timer, not a fixed sleep: a
+  // loaded host can hold the timer thread off the CPU for tens of ms.
+  // The deadline only bounds a timer that never ticks, which fails below.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (timer.ticks() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   timer.stop();  // joins, then one final tick
 
   EXPECT_GE(timer.ticks(), 2u);  // several periodic + the final one
