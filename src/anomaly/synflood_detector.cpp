@@ -26,16 +26,34 @@ void SynFloodDetector::close_window_locked(Timestamp start) {
   counts_.clear();
 }
 
+void SynFloodDetector::count_locked(Timestamp time, Ipv4Address server,
+                                    std::uint64_t Counts::*field) {
+  window_.advance(time, [this](Timestamp start) { close_window_locked(start); });
+  ++(counts_[server].*field);
+}
+
 void SynFloodDetector::on_syn(Timestamp time, Ipv4Address server) {
   std::lock_guard lock(mu_);
-  window_.advance(time, [this](Timestamp start) { close_window_locked(start); });
-  ++counts_[server].syns;
+  count_locked(time, server, &Counts::syns);
+}
+
+void SynFloodDetector::on_syns(std::span<const SynEvent> syns) {
+  std::lock_guard lock(mu_);
+  for (const SynEvent& e : syns) count_locked(e.time, e.server, &Counts::syns);
 }
 
 void SynFloodDetector::on_completion(Timestamp time, Ipv4Address server) {
   std::lock_guard lock(mu_);
-  window_.advance(time, [this](Timestamp start) { close_window_locked(start); });
-  ++counts_[server].completions;
+  count_locked(time, server, &Counts::completions);
+}
+
+void SynFloodDetector::on_completions(std::span<const LatencySample> samples) {
+  std::lock_guard lock(mu_);
+  for (const LatencySample& s : samples) {
+    if (s.kind == SampleKind::kHandshake && s.server.is_v4()) {
+      count_locked(s.ack_time, s.server.v4, &Counts::completions);
+    }
+  }
 }
 
 void SynFloodDetector::flush(std::vector<Alert>& out) {

@@ -3,16 +3,22 @@
 // time with simple Ruru modules").
 //
 // Runs *before* anonymization, on the capture side of the pipeline: it
-// consumes per-packet SYN events and handshake completions keyed by the
-// target server, and closes fixed windows as time advances.  A window
-// alerts when a target received many SYNs with a low completion ratio.
+// consumes SYN events and handshake completions keyed by the target
+// server, and closes fixed windows as time advances.  A window alerts
+// when a target received many SYNs with a low completion ratio.
+//
+// Every worker feeds one detector, so its mutex is shared: the batched
+// calls take it once per worker burst of SYNs and once per flushed
+// sample batch, not once per packet.
 
 #include <cstdint>
-#include <optional>
+#include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "anomaly/alert.hpp"
+#include "flow/latency_sample.hpp"
 #include "net/ip_address.hpp"
 
 namespace ruru {
@@ -30,8 +36,15 @@ class SynFloodDetector {
 
   /// A SYN towards `server` observed at `time`. Thread-safe.
   void on_syn(Timestamp time, Ipv4Address server);
-  /// A completed handshake towards `server`.
+  /// A burst's SYNs in capture order, under one lock: the same counts and
+  /// alerts as on_syn() for each.  Thread-safe.
+  void on_syns(std::span<const SynEvent> syns);
+  /// A completed handshake towards `server`.  Thread-safe.
   void on_completion(Timestamp time, Ipv4Address server);
+  /// A flushed sample batch, under one lock: on_completion() for each
+  /// IPv4 handshake sample.  In-flow samples are skipped — they are not
+  /// new connections and would dilute the SYN ratio.  Thread-safe.
+  void on_completions(std::span<const LatencySample> samples);
 
   /// Force-close the current window (end of run). Appends alerts found.
   void flush(std::vector<Alert>& out);
@@ -46,6 +59,7 @@ class SynFloodDetector {
   };
 
   void close_window_locked(Timestamp start);
+  void count_locked(Timestamp time, Ipv4Address server, std::uint64_t Counts::*field);
 
   SynFloodConfig config_;
   std::mutex mu_;

@@ -167,20 +167,15 @@ RuruPipeline::RuruPipeline(PipelineConfig config, const GeoDatabase& geo, const 
           // publisher: the fan-in ticket CAS is uncontended no matter
           // how many workers flush at once.
           bus_.publish_lane_stamped(q, m, samples.size());
-          if (synflood_) {
-            for (const LatencySample& s : samples) {
-              // Only handshake completions count: an in-flow sample is
-              // not a new connection and would dilute the SYN ratio.
-              if (s.kind == SampleKind::kHandshake && s.server.is_v4()) {
-                synflood_->on_completion(s.ack_time, s.server.v4);
-              }
-            }
-          }
+          if (synflood_) synflood_->on_completions(samples);
         },
         config_.bus_batch_size, config_.bus_batch_linger);
     if (synflood_) {
-      worker->set_syn_sink(
-          [this](Timestamp t, Ipv4Address server) { synflood_->on_syn(t, server); });
+      // One detector lock per burst of SYNs, not per SYN: the workers
+      // share it, and a per-SYN lock made a SYN-heavy worker slower than
+      // the producer feeding it.
+      worker->set_syn_batch_sink(
+          [this](std::span<const SynEvent> syns) { synflood_->on_syns(syns); });
     }
     workers_.push_back(std::move(worker));
   }

@@ -23,21 +23,26 @@ inline void stamp_trace(Mbuf& m, std::uint32_t hash, std::uint32_t sample_n) {
 
 }  // namespace
 
+SimNic::Producer::Producer(std::uint16_t first, std::uint16_t count)
+    : first_queue(first), staged(count), staged_frames(count) {}
+
 SimNic::SimNic(const NicConfig& config, Mempool& pool)
-    : config_(config), pool_(pool), rss_table_(config.rss_key) {
+    : config_(config),
+      pool_(pool),
+      rss_table_(config.rss_key),
+      port_(0, config.num_queues) {
   queues_.reserve(config_.num_queues);
-  staging_.resize(config_.num_queues);
-  staged_frames_.resize(config_.num_queues);
-  lane_stats_.resize(config_.num_queues);
-  lane_scratch_.resize(config_.num_queues);
+  lanes_.reserve(config_.num_queues);
   for (std::uint16_t q = 0; q < config_.num_queues; ++q) {
     queues_.push_back(std::make_unique<RxQueue>(config_.queue_depth));
+    lanes_.push_back(std::make_unique<Producer>(q, 1));
   }
 }
 
 NicStats SimNic::stats_totals() const {
-  NicStats total = stats_;  // StatCell copies via relaxed loads
-  for (const NicStats& lane : lane_stats_) {
+  NicStats total = port_.stats;  // StatCell copies via relaxed loads
+  for (const auto& producer : lanes_) {
+    const NicStats& lane = producer->stats;
     total.rx_packets += lane.rx_packets.load();
     total.rx_bytes += lane.rx_bytes.load();
     total.dropped_no_mbuf += lane.dropped_no_mbuf.load();
@@ -88,120 +93,101 @@ bool SimNic::inject(std::span<const std::uint8_t> frame, Timestamp rx_time) {
 }
 
 std::size_t SimNic::inject_burst(std::span<const RxFrame> frames, bool* queued) {
-  // Stage: alloc + copy + hash each frame, grouped by destination queue.
-  for (std::uint32_t i = 0; i < frames.size(); ++i) {
-    if (queued != nullptr) queued[i] = false;
-    MbufPtr mbuf = pool_.alloc();
-    if (!mbuf) {
-      ++stats_.dropped_no_mbuf;
-      RURU_LOG_EVERY_N(kWarn, "driver", 65536)
-          << "mempool exhausted, dropping frames (total " << stats_.dropped_no_mbuf << ")";
-      continue;
-    }
-    if (!mbuf->assign(frames[i].data)) {
-      ++stats_.dropped_oversize;
-      continue;
-    }
-    mbuf->timestamp = frames[i].rx_time;
-    mbuf->rss_hash = hash_frame(frames[i].data);
-    mbuf->port_id = config_.port_id;
-    stamp_trace(*mbuf, mbuf->rss_hash, config_.trace_sample_n);
-    const std::uint16_t queue = static_cast<std::uint16_t>(mbuf->rss_hash % config_.num_queues);
-    mbuf->queue_id = queue;
-    staging_[queue].push_back(std::move(mbuf));
-    staged_frames_[queue].push_back(i);
-  }
-
-  // Publish: one push_burst (one release store) per non-empty queue.
-  std::size_t total = 0;
-  for (std::uint16_t q = 0; q < config_.num_queues; ++q) {
-    auto& staged = staging_[q];
-    if (staged.empty()) continue;
-    const std::size_t pushed = queues_[q]->ring.push_burst(staged.data(), staged.size());
-    if (pushed != 0) queues_[q]->bell.ring();
-    for (std::size_t j = 0; j < pushed; ++j) {
-      const std::uint32_t frame_index = staged_frames_[q][j];
-      ++stats_.rx_packets;
-      stats_.rx_bytes += frames[frame_index].data.size();
-      if (queued != nullptr) queued[frame_index] = true;
-    }
-    for (std::size_t j = pushed; j < staged.size(); ++j) {
-      ++stats_.dropped_queue_full;
-      staged[j].reset();  // return the mbuf to the pool
-    }
-    total += pushed;
-    staged.clear();
-    staged_frames_[q].clear();
-  }
-  return total;
+  return enqueue(port_, frames, queued);
 }
 
 std::size_t SimNic::inject_shard(std::uint16_t queue, std::span<const RxFrame> frames,
                                  bool* queued) {
-  NicStats& stats = lane_stats_[queue];
-  LaneScratch& scratch = lane_scratch_[queue];
-  scratch.mbufs.clear();
-  scratch.frame_index.clear();
-  if (scratch.mbufs.capacity() < frames.size()) {
-    scratch.mbufs.reserve(frames.size());
-    scratch.frame_index.reserve(frames.size());
-  }
+  return enqueue(*lanes_[queue], frames, queued);
+}
 
-  // One mempool lock for the whole burst: grab the worst-case mbuf count
-  // up front, return the unused tail after staging.
-  scratch.mbufs.resize(frames.size());
-  const std::size_t got = pool_.alloc_bulk(scratch.mbufs);
-  std::size_t staged = 0;  // mbufs[0..staged) carry assigned frames, in order
+void SimNic::refill(Producer& p) {
+  // Steady state: the mbufs this producer's workers handed back.
+  for (std::size_t slot = 0; slot < p.staged.size() && p.cached < kCacheSize; ++slot) {
+    SpscRing<MbufPtr>& ring = queues_[p.first_queue + slot]->recycle;
+    p.cached += ring.pop_burst(p.cache.data() + p.cached, kCacheSize - p.cached);
+  }
+  // Cold path: the initial stock, or every buffer still in flight.
+  if (p.cached == 0) p.cached = pool_.refill({p.cache.data(), kRxBurst});
+}
+
+std::size_t SimNic::enqueue(Producer& p, std::span<const RxFrame> frames, bool* queued) {
+  // Stage: hash, take an mbuf from the cache, copy and stamp each frame,
+  // grouped by destination queue.
   for (std::uint32_t i = 0; i < frames.size(); ++i) {
     if (queued != nullptr) queued[i] = false;
     const std::uint32_t hash = hash_frame(frames[i].data);
-    if (static_cast<std::uint16_t>(hash % config_.num_queues) != queue) {
-      ++stats.dropped_misrouted;
+    const auto queue = static_cast<std::uint16_t>(hash % config_.num_queues);
+    const std::size_t slot = static_cast<std::uint16_t>(queue - p.first_queue);
+    if (slot >= p.staged.size()) {  // only a lane feeds a subset of the queues
+      ++p.stats.dropped_misrouted;
       RURU_LOG_EVERY_N(kWarn, "driver", 65536)
-          << "lane " << queue << ": frame hashes to queue " << (hash % config_.num_queues)
+          << "lane " << p.first_queue << ": frame hashes to queue " << queue
           << ", dropping (misrouted shard)";
       continue;
     }
-    if (staged >= got) {
-      ++stats.dropped_no_mbuf;
+    if (p.cached == 0) refill(p);
+    if (p.cached == 0) {
+      ++p.stats.dropped_no_mbuf;
       RURU_LOG_EVERY_N(kWarn, "driver", 65536)
-          << "mempool exhausted, dropping frames (lane " << queue << ")";
+          << "mempool exhausted, dropping frames (" << p.stats.dropped_no_mbuf
+          << " on this producer)";
       continue;
     }
-    MbufPtr& mbuf = scratch.mbufs[staged];
+    MbufPtr& mbuf = p.cache[p.cached - 1];
     if (!mbuf->assign(frames[i].data)) {
-      ++stats.dropped_oversize;
-      continue;  // slot keeps its mbuf; the next frame reuses it
+      ++p.stats.dropped_oversize;
+      continue;  // the mbuf stays cached for the next frame
     }
     mbuf->timestamp = frames[i].rx_time;
     mbuf->rss_hash = hash;
     mbuf->port_id = config_.port_id;
     mbuf->queue_id = queue;
     stamp_trace(*mbuf, hash, config_.trace_sample_n);
-    scratch.frame_index.push_back(i);
-    ++staged;
+    p.staged[slot].push_back(std::move(mbuf));
+    p.staged_frames[slot].push_back(i);
+    --p.cached;
   }
-  // Release unused pre-allocated mbufs back to the pool.
-  for (std::size_t j = staged; j < got; ++j) scratch.mbufs[j].reset();
-  const std::size_t pushed = queues_[queue]->ring.push_burst(scratch.mbufs.data(), staged);
-  if (pushed != 0) queues_[queue]->bell.ring();
-  for (std::size_t j = 0; j < pushed; ++j) {
-    const std::uint32_t frame_index = scratch.frame_index[j];
-    ++stats.rx_packets;
-    stats.rx_bytes += frames[frame_index].data.size();
-    if (queued != nullptr) queued[frame_index] = true;
+
+  // Publish: one push_burst (one release store) per non-empty queue.
+  // The unpushed tail of a full queue goes back to the cache it came from.
+  std::size_t total = 0;
+  for (std::size_t slot = 0; slot < p.staged.size(); ++slot) {
+    std::vector<MbufPtr>& staged = p.staged[slot];
+    if (staged.empty()) continue;
+    RxQueue& rx = *queues_[p.first_queue + slot];
+    const std::size_t pushed = rx.ring.push_burst(staged.data(), staged.size());
+    if (pushed != 0) rx.bell.ring();
+    for (std::size_t j = 0; j < pushed; ++j) {
+      const std::uint32_t frame_index = p.staged_frames[slot][j];
+      ++p.stats.rx_packets;
+      p.stats.rx_bytes += frames[frame_index].data.size();
+      if (queued != nullptr) queued[frame_index] = true;
+    }
+    for (std::size_t j = pushed; j < staged.size(); ++j) {
+      ++p.stats.dropped_queue_full;
+      // A mid-burst refill can leave the cache fuller than before the
+      // burst; what does not fit returns to the pool.
+      if (p.cached < kCacheSize) {
+        p.cache[p.cached++] = std::move(staged[j]);
+      } else {
+        staged[j].reset();
+      }
+    }
+    total += pushed;
+    staged.clear();
+    p.staged_frames[slot].clear();
   }
-  for (std::size_t j = pushed; j < staged; ++j) {
-    ++stats.dropped_queue_full;
-    scratch.mbufs[j].reset();  // return the mbuf to the pool
-  }
-  scratch.mbufs.clear();
-  scratch.frame_index.clear();
-  return pushed;
+  return total;
 }
 
 std::size_t SimNic::rx_burst(std::uint16_t queue, std::span<MbufPtr> out) {
   return queues_[queue]->ring.pop_burst(out.data(), out.size());
+}
+
+void SimNic::recycle(std::uint16_t queue, std::span<MbufPtr> burst) {
+  const std::size_t pushed = queues_[queue]->recycle.push_burst(burst.data(), burst.size());
+  for (std::size_t j = pushed; j < burst.size(); ++j) burst[j].reset();
 }
 
 ParkResult SimNic::wait_rx(std::uint16_t queue, std::chrono::nanoseconds timeout) {

@@ -16,8 +16,18 @@
 //    would compute, so lane q carries exactly the frames queue q would
 //    have received — per-queue streams are bit-identical to the
 //    single-producer path, and no ring ever sees two producers.
-// Per-lane stats shards keep the single-writer StatCell contract;
-// stats_totals() merges them for reporting.
+// Both run one enqueue body over their own producer state (stats shard,
+// staging, mbuf cache), so N lanes never write one cell or one buffer;
+// stats_totals() merges the shards for reporting.
+//
+// Mbuf recycling, DPDK style: no lock in steady state.  Each producer
+// allocates from a cache it owns.  A worker hands each processed burst
+// back on its queue's SPSC recycle ring (recycle(): one release store
+// per burst), and a producer whose cache runs dry drains the recycle
+// rings of the queues it feeds — the whole-port producer every ring,
+// lane q ring q only — before it falls back to the pool's locked free
+// list.  Each recycle ring thus has one producer (queue q's worker) and
+// one consumer (whichever topology is injecting).
 //
 // Drop accounting mirrors hardware: mempool exhaustion and full RX rings
 // are counted, never blocked on — a latency tap must not apply
@@ -29,6 +39,7 @@
 // l3fwd-power's rx-interrupt mode).  With no worker parked, a ring is
 // one RMW per queue per burst and no syscall.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -75,6 +86,13 @@ struct RxFrame {
 
 class SimNic {
  public:
+  /// Frames per rx burst: what a worker polls at once, and what a
+  /// cold refill takes from the pool.
+  static constexpr std::size_t kRxBurst = 32;
+  /// Free mbufs a producer's cache holds (rte_mempool's largest
+  /// per-lcore cache): 16 bursts between two drains of the recycle rings.
+  static constexpr std::size_t kCacheSize = 16 * kRxBurst;
+
   SimNic(const NicConfig& config, Mempool& pool);
 
   SimNic(const SimNic&) = delete;
@@ -85,21 +103,23 @@ class SimNic {
   /// was queued (false -> counted in stats as a drop).
   bool inject(std::span<const std::uint8_t> frame, Timestamp rx_time);
 
-  /// Batched RX path: copy each frame into an mbuf, hash, timestamp,
-  /// and stage it per destination queue, then publish each queue's run
-  /// with ONE SpscRing::push_burst (one release store per queue per
-  /// burst instead of one per frame).  Single-producer, like inject().
-  /// Returns the number of frames queued; when `queued` is non-null it
-  /// must have `frames.size()` slots and receives a per-frame success
-  /// flag (so a lossless replayer can retry exactly the failures).
+  /// Batched RX path: copy each frame into an mbuf from the producer's
+  /// cache, hash, timestamp, and stage it per destination queue, then
+  /// publish each queue's run with ONE SpscRing::push_burst (one release
+  /// store per queue per burst instead of one per frame).  Single-
+  /// producer, like inject().  Returns the number of frames queued; when
+  /// `queued` is non-null it must have `frames.size()` slots and receives
+  /// a per-frame success flag (so a lossless replayer can retry exactly
+  /// the failures).
   std::size_t inject_burst(std::span<const RxFrame> frames, bool* queued = nullptr);
 
   /// Sharded RX path: queue `queue`'s own producer lane injects a burst
   /// of frames that all hash to that queue (the replayer pre-partitions
-  /// by queue_for()).  One mempool lock and one SpscRing release store
-  /// per burst; a frame whose hash maps to a different queue is counted
-  /// as a lane misroute and dropped (it would corrupt the symmetric-RSS
-  /// guarantee that both directions of a flow share one worker).
+  /// by queue_for()).  Same body as inject_burst() over the lane's own
+  /// cache, which refills from queue `queue`'s recycle ring only; a frame
+  /// whose hash maps to a different queue is counted as a lane misroute
+  /// and dropped (it would corrupt the symmetric-RSS guarantee that both
+  /// directions of a flow share one worker).
   /// Contract: at most one producer thread per lane, and lanes must not
   /// run concurrently with whole-port inject()/inject_burst().
   /// Returns frames queued; `queued` (optional, frames.size() slots)
@@ -111,6 +131,13 @@ class SimNic {
   /// Safe to call concurrently across *different* queues.
   std::size_t rx_burst(std::uint16_t queue, std::span<MbufPtr> out);
 
+  /// Hand a processed burst back: one push_burst onto `queue`'s recycle
+  /// ring, which its producer drains into its cache.  What a full ring
+  /// cannot take goes to the pool's locked free list, so this never
+  /// blocks and never leaks.  Only `queue`'s one consumer may call it;
+  /// every handle in `burst` is left empty.
+  void recycle(std::uint16_t queue, std::span<MbufPtr> burst);
+
   /// Park `queue`'s consumer until a producer pushes to that queue or
   /// `timeout` passes; returns at once (kReady) when the queue already
   /// holds frames.  Only the queue's one consumer may call it.
@@ -120,10 +147,10 @@ class SimNic {
   /// Whole-port producer shard only (inject()/inject_burst() callers).
   /// Sharded-lane traffic lands in lane_stats(); use stats_totals() for
   /// a topology-independent view.
-  [[nodiscard]] const NicStats& stats() const { return stats_; }
+  [[nodiscard]] const NicStats& stats() const { return port_.stats; }
   /// Stats shard written only by queue `queue`'s producer lane.
   [[nodiscard]] const NicStats& lane_stats(std::uint16_t queue) const {
-    return lane_stats_[queue];
+    return lanes_[queue]->stats;
   }
   /// Port shard + every lane shard, merged (relaxed loads — safe from
   /// the metrics snapshot thread).
@@ -139,35 +166,48 @@ class SimNic {
   }
 
  private:
-  /// One producer lane's reusable burst scratch (mbuf staging + frame
-  /// indexes), touched only by that lane's thread.
-  struct LaneScratch {
-    std::vector<MbufPtr> mbufs;
-    std::vector<std::uint32_t> frame_index;
-  };
-
-  /// One RX queue: the ring and the doorbell its producer rings after
-  /// a push.
+  /// One RX queue: the ring, the recycle ring its worker hands bursts
+  /// back on, and the doorbell its producer rings after a push.  The
+  /// recycle ring holds two rings' worth, so a worker draining a full
+  /// queue while its producer has stopped refilling still fits.
   struct RxQueue {
-    explicit RxQueue(std::size_t depth) : ring(depth) {}
+    explicit RxQueue(std::size_t depth) : ring(depth), recycle(2 * depth) {}
     SpscRing<MbufPtr> ring;
+    SpscRing<MbufPtr> recycle;
     Doorbell bell;
   };
+
+  /// One producer's state — the whole port's, or one lane's — touched
+  /// only by that producer's thread (the stats cells are also read by
+  /// the snapshot thread).  It feeds, and drains the recycle rings of,
+  /// queues [first_queue, first_queue + staged.size()).
+  struct Producer {
+    Producer(std::uint16_t first, std::uint16_t count);
+    NicStats stats;
+    std::uint16_t first_queue;
+    /// Per destination queue: staged mbufs with the originating frame
+    /// index alongside each (so a partial push can report exactly which
+    /// frames dropped).  Reused across bursts.
+    std::vector<std::vector<MbufPtr>> staged;
+    std::vector<std::vector<std::uint32_t>> staged_frames;
+    /// Free mbufs owned by this producer, LIFO: cache[0, cached).
+    std::size_t cached = 0;
+    std::array<MbufPtr, kCacheSize> cache;
+  };
+
+  /// The enqueue body behind inject_burst() and inject_shard().
+  std::size_t enqueue(Producer& p, std::span<const RxFrame> frames, bool* queued);
+  /// Refills an empty cache: the producer's recycle rings first, the
+  /// pool's locked free list only when they are empty too.
+  void refill(Producer& p);
 
   NicConfig config_;
   Mempool& pool_;
   ToeplitzTable rss_table_;  ///< derived from config_.rss_key once
   std::vector<std::unique_ptr<RxQueue>> queues_;
-  /// Per-queue staging for inject_burst, with the originating frame
-  /// index alongside each mbuf (so a partial push can report exactly
-  /// which frames dropped). Reused across bursts; producer-thread only.
-  std::vector<std::vector<MbufPtr>> staging_;
-  std::vector<std::vector<std::uint32_t>> staged_frames_;
-  NicStats stats_;
-  /// Sharded-injection state, indexed by queue: one stats shard and one
-  /// scratch per lane so N lanes never write one cell or one buffer.
-  std::vector<NicStats> lane_stats_;
-  std::vector<LaneScratch> lane_scratch_;
+  Producer port_;
+  /// Sharded-injection producers, indexed by queue.
+  std::vector<std::unique_ptr<Producer>> lanes_;
 };
 
 }  // namespace ruru

@@ -66,4 +66,11 @@ struct LatencySample {
   [[nodiscard]] Duration total() const { return ack_time - syn_time; }
 };
 
+/// A SYN-only IPv4 segment as the SYN-flood hook sees it: its capture
+/// time and the server it targets, taken before anonymization.
+struct SynEvent {
+  Timestamp time;
+  Ipv4Address server;
+};
+
 }  // namespace ruru

@@ -18,6 +18,17 @@ QueueWorker::QueueWorker(SimNic& nic, std::uint16_t queue_id, std::size_t flow_t
   // (handshake completion + its echo match): size the staging buffer so
   // the steady state never re-allocates.
   samples_.reserve(2 * kBurst);
+  syns_.reserve(kBurst);
+}
+
+void QueueWorker::set_syn_sink(SynSink sink) {
+  if (!sink) {
+    syn_sink_ = nullptr;
+    return;
+  }
+  set_syn_batch_sink([sink = std::move(sink)](std::span<const SynEvent> syns) {
+    for (const SynEvent& e : syns) sink(e.time, e.server);
+  });
 }
 
 void QueueWorker::set_batch_sink(BatchSink sink, std::size_t batch_size, Duration linger) {
@@ -27,8 +38,17 @@ void QueueWorker::set_batch_sink(BatchSink sink, std::size_t batch_size, Duratio
   batch_.reserve(batch_size_);
 }
 
+void QueueWorker::flush_syns() {
+  if (syns_.empty()) return;
+  syn_sink_(std::span<const SynEvent>(syns_.data(), syns_.size()));
+  syns_.clear();
+}
+
 void QueueWorker::flush_batch() {
   if (!batch_sink_ || batch_.empty()) return;
+  // The burst's SYNs so far go first: a completion in this batch must not
+  // reach the hook ahead of the SYNs that preceded it on the wire.
+  flush_syns();
   batch_sink_(std::span<const LatencySample>(batch_.data(), batch_.size()));
   ++stats_.batch_flushes;
   stats_.batched_samples += batch_.size();
@@ -49,6 +69,24 @@ void QueueWorker::deliver_sample(const LatencySample& sample) {
     }
   }
   if (sink_) sink_(sample);
+}
+
+void QueueWorker::stage_item(const PacketView& view, const Mbuf& m) {
+  if (syn_sink_ && view.tcp.is_syn_only() && view.is_v4) {
+    syns_.push_back(SynEvent{m.timestamp, view.ip4.dst});
+  }
+  items_.push_back(TrackedPacket{view, m.timestamp, m.rss_hash});
+}
+
+void QueueWorker::finish_burst(std::span<MbufPtr> burst) {
+  flush_syns();
+  // Retire abandoned handshakes a few groups at a time, so probes never
+  // pay a staleness scan and the table never needs a stop-the-world GC.
+  tracker_.sweep(burst.back()->timestamp, kSweepGroupsPerBurst);
+  // The burst goes back to the NIC's recycle ring, so nothing may keep
+  // pointing into it; items_ is already empty.
+  std::fill_n(desc_.frame.begin(), burst.size(), std::span<const std::uint8_t>{});
+  nic_.recycle(queue_id_, burst);
 }
 
 void QueueWorker::flush_items() {
@@ -191,17 +229,10 @@ std::size_t QueueWorker::poll_once_scalar() {
       ++stats_.parse_status[static_cast<std::size_t>(p.status)];
     }
     if (p.status != ParseStatus::kOk) continue;
-
-    if (syn_sink_ && p.view.tcp.is_syn_only() && p.view.is_v4) {
-      syn_sink_(m.timestamp, p.view.ip4.dst);
-    }
-    items_.push_back(TrackedPacket{p.view, m.timestamp, m.rss_hash});
+    stage_item(p.view, m);
   }
   flush_items();
-
-  // Retire abandoned handshakes a few groups at a time, so probes never
-  // pay a staleness scan and the table never needs a stop-the-world GC.
-  tracker_.sweep(burst[n - 1]->timestamp, kSweepGroupsPerBurst);
+  finish_burst({burst.data(), n});
 
   if (tracing) {
     const std::int64_t now_ns = obs::trace_now_ns();
@@ -335,10 +366,7 @@ std::size_t QueueWorker::poll_once_vector() {
         }
         const Pending& p = pending_[i];
         if (p.status != ParseStatus::kOk) continue;
-        if (syn_sink_ && p.view.tcp.is_syn_only() && p.view.is_v4) {
-          syn_sink_(m.timestamp, p.view.ip4.dst);
-        }
-        items_.push_back(TrackedPacket{p.view, m.timestamp, m.rss_hash});
+        stage_item(p.view, m);
       }
       continue;
     }
@@ -397,20 +425,14 @@ std::size_t QueueWorker::poll_once_vector() {
       p.status = parse_packet(desc_.frame[i], p.view);
       ++stats_.parse_status[static_cast<std::size_t>(p.status)];
       if (p.status != ParseStatus::kOk) continue;
-      if (syn_sink_ && p.view.tcp.is_syn_only() && p.view.is_v4) {
-        syn_sink_(m.timestamp, p.view.ip4.dst);
-      }
-      items_.push_back(TrackedPacket{p.view, m.timestamp, m.rss_hash});
+      stage_item(p.view, m);
     }
     deliver_staged();
     samples_.clear();
     obs_.candidate_run_len.record(static_cast<std::int64_t>(i - run_start));
   }
   flush_items();
-
-  // Retire abandoned handshakes a few groups at a time, so probes never
-  // pay a staleness scan and the table never needs a stop-the-world GC.
-  tracker_.sweep(burst[n - 1]->timestamp, kSweepGroupsPerBurst);
+  finish_burst({burst.data(), n});
 
   if (tracing) {
     const std::int64_t now_ns = obs::trace_now_ns();

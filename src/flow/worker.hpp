@@ -4,7 +4,9 @@
 // Each worker owns one RX queue and one flow table (no sharing, no
 // locks — symmetric RSS guarantees both directions of a flow arrive on
 // this queue).  Parsed handshake completions are handed to a sample sink
-// which the pipeline wires to the message bus.
+// which the pipeline wires to the message bus.  A processed burst goes
+// back to the NIC on the queue's recycle ring (SimNic::recycle), one
+// release store per burst: the worker never takes the mempool's lock.
 //
 // A burst is resolved as a software-pipelined vector of stages over an
 // SoA descriptor (flow/burst_desc.hpp):
@@ -122,12 +124,18 @@ class QueueWorker {
   /// samples in emission order. The span is only valid for the duration
   /// of the call (the accumulator is reused).
   using BatchSink = std::function<void(std::span<const LatencySample>)>;
-  /// Optional hook fired for every SYN-only segment (timestamp, server
+  /// Optional hook for SYN-only IPv4 segments (capture time, server
   /// address) — feeds the SYN-flood module, which must observe
-  /// addresses *before* the anonymization boundary.
+  /// addresses *before* the anonymization boundary.  The worker stages a
+  /// burst's SYNs and hands them over in one call, in arrival order: at
+  /// the end of the burst, and before any sample batch flushes, so the
+  /// hook sees SYNs and completions in the order the per-packet loop
+  /// produced them.  The span is valid for the duration of the call.
+  using SynBatchSink = std::function<void(std::span<const SynEvent>)>;
+  /// Per-SYN form of SynBatchSink.
   using SynSink = std::function<void(Timestamp, Ipv4Address)>;
 
-  static constexpr std::size_t kBurst = 32;
+  static constexpr std::size_t kBurst = SimNic::kRxBurst;
   static_assert(kBurst == BurstDesc::kLanes, "rx burst and descriptor lanes must agree");
   /// Flow-table groups the incremental staleness sweep examines after
   /// each non-empty burst (the whole table is covered every
@@ -154,7 +162,9 @@ class QueueWorker {
               InflowConfig inflow = {});
 
   /// Install before the worker runs (not thread-safe afterwards).
-  void set_syn_sink(SynSink sink) { syn_sink_ = std::move(sink); }
+  void set_syn_batch_sink(SynBatchSink sink) { syn_sink_ = std::move(sink); }
+  /// Per-SYN adapter over set_syn_batch_sink().
+  void set_syn_sink(SynSink sink);
 
   /// Enable/disable the pre-parse fast path (default on): a fixed-offset
   /// probe reads the TCP flags byte and skips full parse_packet() for
@@ -254,6 +264,13 @@ class QueueWorker {
   /// Runs accumulated parsed packets through the tracker and delivers
   /// every emitted sample.
   void flush_items();
+  /// Stages a parsed packet for flush_items(), and its SYN for the hook.
+  void stage_item(const PacketView& view, const Mbuf& m);
+  /// Hands the staged SYNs to the hook.
+  void flush_syns();
+  /// Ends a non-empty poll: SYNs out, a few groups swept, and the burst
+  /// handed back to the NIC.  Nothing may read the burst afterwards.
+  void finish_burst(std::span<MbufPtr> burst);
   /// Delivers whatever is staged in samples_ (trace ids, histograms,
   /// sinks) — shared by flush_items() and the in-flow fast path.
   void deliver_staged();
@@ -268,7 +285,7 @@ class QueueWorker {
   std::uint16_t queue_id_;
   HandshakeTracker tracker_;
   SampleSink sink_;
-  SynSink syn_sink_;
+  SynBatchSink syn_sink_;
   BatchSink batch_sink_;
   bool fast_path_ = true;
   LoopKernel loop_kernel_ = LoopKernel::kVector;
@@ -280,7 +297,8 @@ class QueueWorker {
   std::array<Pending, kBurst> pending_;       ///< parse scratch (both kernels)
   BurstDesc desc_;                            ///< vector-loop lane scratch
   std::vector<TrackedPacket> items_;          ///< reused, capacity kBurst
-  std::vector<LatencySample> samples_;        ///< reused, capacity kBurst
+  std::vector<LatencySample> samples_;        ///< reused, capacity 2 * kBurst
+  std::vector<SynEvent> syns_;                ///< reused, capacity kBurst
   obs::TraceHandle trace_;
   std::uint32_t trace_sample_n_ = 0;
   WorkerObs obs_;

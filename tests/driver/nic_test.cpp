@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <thread>
 
 #include "net/packet_builder.hpp"
@@ -113,6 +114,65 @@ TEST_F(SimNicTest, MempoolExhaustionDrops) {
   EXPECT_EQ(nic.rx_burst(0, burst), 4u);
   for (auto& b : burst) b.reset();
   EXPECT_TRUE(nic.inject(frame, Timestamp{}));
+}
+
+// An mbuf dropped off the workers (a test, shutdown) returns through the
+// pool's locked free list, and the producer's next cache refill hands it
+// out again.
+TEST_F(SimNicTest, MbufDroppedOffTheWorkersReachesThePool) {
+  Mempool tiny(4, 2048);
+  NicConfig cfg;
+  cfg.num_queues = 1;
+  SimNic nic(cfg, tiny);
+  const auto frame = syn_frame(Ipv4Address(1, 1, 1, 1), 1, Ipv4Address(2, 2, 2, 2), 2);
+  const std::vector<RxFrame> burst(4, RxFrame{frame, Timestamp{}});
+  ASSERT_EQ(nic.inject_burst(burst), 4u);
+  EXPECT_EQ(tiny.available(), 0u);
+
+  std::array<MbufPtr, 4> rx;
+  ASSERT_EQ(nic.rx_burst(0, rx), 4u);
+  std::set<const std::uint8_t*> dropped;
+  for (auto& m : rx) {
+    dropped.insert(m->data());
+    m.reset();  // this thread owns no recycle ring
+  }
+  EXPECT_EQ(tiny.available(), 4u);
+
+  ASSERT_EQ(nic.inject_burst(burst), 4u);
+  EXPECT_EQ(tiny.available(), 0u);
+  ASSERT_EQ(nic.rx_burst(0, rx), 4u);
+  for (const auto& m : rx) EXPECT_EQ(dropped.count(m->data()), 1u);
+  EXPECT_EQ(nic.stats().dropped_no_mbuf, 0u);
+  EXPECT_EQ(tiny.alloc_failures(), 0u);
+}
+
+// A recycle ring whose producer stops draining it fills up; the bursts
+// handed back after that go to the pool's free list, recycle() returns
+// at once, and destroying the NIC returns every mbuf.
+TEST_F(SimNicTest, FullRecycleRingFallsBackToThePool) {
+  Mempool pool(64, 2048);
+  {
+    NicConfig cfg;
+    cfg.num_queues = 1;
+    cfg.queue_depth = 2;  // recycle ring: 4 slots
+    SimNic nic(cfg, pool);
+    const auto frame = syn_frame(Ipv4Address(1, 1, 1, 1), 1, Ipv4Address(2, 2, 2, 2), 2);
+    const std::vector<RxFrame> two(2, RxFrame{frame, Timestamp{}});
+    std::array<MbufPtr, 2> rx;
+    for (int round = 0; round < 4; ++round) {
+      // One cold refill stocks the cache for all four rounds, so the
+      // producer never drains the recycle ring.
+      ASSERT_EQ(nic.inject_burst(two), 2u);
+      ASSERT_EQ(nic.rx_burst(0, rx), 2u);
+      nic.recycle(0, rx);
+      for (const auto& m : rx) EXPECT_EQ(m, nullptr);
+    }
+    // The cold refill took one burst's worth; rounds 3 and 4 found the
+    // ring full and returned their 4 mbufs to the pool.
+    EXPECT_EQ(pool.available(), pool.capacity() - SimNic::kRxBurst + 4);
+  }
+  EXPECT_EQ(pool.available(), pool.capacity());
+  EXPECT_EQ(pool.alloc_failures(), 0u);
 }
 
 TEST_F(SimNicTest, OversizeFrameDropped) {

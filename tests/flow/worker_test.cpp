@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
+#include <string>
 #include <thread>
 
 #include "net/packet_builder.hpp"
@@ -107,6 +110,53 @@ TEST_F(WorkerTest, SynSinkFiresPerSyn) {
   ASSERT_EQ(syns.size(), 1u);  // only the SYN, not SYN-ACK/ACK
   EXPECT_EQ(syns[0].first.ns, Timestamp::from_ms(10).ns);
   EXPECT_EQ(syns[0].second, server_);
+}
+
+// The batched hook gets a burst's SYNs in one call, in arrival order,
+// and never after the completions they precede: a mid-burst batch flush
+// hands the SYNs staged so far over first.
+TEST_F(WorkerTest, SynBatchSinkTakesABurstsSynsAheadOfTheirCompletions) {
+  for (const std::size_t batch_size : {kMaxLatencyBatch, std::size_t{1}}) {
+    SCOPED_TRACE(testing::Message() << "batch_size " << batch_size);
+    std::vector<std::string> log;  // "S<n>" per SYN, "C<n>" per completion
+    std::size_t syn_calls = 0;
+    QueueWorker worker(*nic_, 0, 1024, nullptr);
+    worker.set_syn_batch_sink([&](std::span<const SynEvent> syns) {
+      ++syn_calls;
+      for (const SynEvent& e : syns) log.push_back("S" + std::to_string(e.time.ns / 1'000'000));
+    });
+    worker.set_batch_sink(
+        [&](std::span<const LatencySample> samples) {
+          for (const LatencySample& s : samples) {
+            log.push_back("C" + std::to_string(s.syn_time.ns / 1'000'000));
+          }
+        },
+        batch_size);
+    for (int i = 0; i < 8; ++i) {  // 24 frames: one burst
+      inject_handshake(Ipv4Address(10, 1, 0, static_cast<std::uint8_t>(i + 1)),
+                       static_cast<std::uint16_t>(33'000 + i), Timestamp::from_ms(i),
+                       Duration::from_us(10), Duration::from_us(10));
+    }
+    ASSERT_EQ(worker.poll_once(), 24u);
+    EXPECT_EQ(worker.poll_once(), 0u);  // the idle flush delivers the rest
+
+    ASSERT_EQ(log.size(), 16u);
+    std::vector<std::string> syns;
+    for (const auto& e : log) {
+      if (e[0] == 'S') syns.push_back(e);
+    }
+    ASSERT_EQ(syns.size(), 8u);
+    for (int i = 0; i < 8; ++i) {
+      const std::string n = std::to_string(i);
+      EXPECT_EQ(syns[static_cast<std::size_t>(i)], "S" + n);  // arrival order
+      const auto syn = std::find(log.begin(), log.end(), "S" + n);
+      const auto done = std::find(log.begin(), log.end(), "C" + n);
+      EXPECT_LT(syn, done) << "handshake " << n;
+    }
+    if (batch_size == kMaxLatencyBatch) {
+      EXPECT_EQ(syn_calls, 1u);  // one call per burst
+    }
+  }
 }
 
 TEST_F(WorkerTest, RunDrainsOnStop) {
@@ -383,6 +433,101 @@ TEST_F(WorkerTest, IdleWorkerParksThenProcessesAFrameAndStopsPromptly) {
   // Parks are not empty polls: every park follows an empty poll, and the
   // two counters stay apart.
   EXPECT_GE(worker.stats().empty_polls.load(), worker.stats().parks.load());
+}
+
+// Threaded replay under both producer topologies, with a pool smaller
+// than the replay so mbufs must circulate: workers hand every burst back
+// on their recycle rings while the producers refill from them.  Every
+// frame is processed, and once the workers stop and the NIC is gone
+// every mbuf is back on the pool's free list.
+TEST(WorkerRecycle, ThreadedReplayReturnsEveryMbufToThePool) {
+  constexpr std::uint16_t kQueues = 2;
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int i = 0; i < 2000; ++i) {
+    TcpFrameSpec spec;
+    spec.src_ip = Ipv4Address(10, 1, static_cast<std::uint8_t>(i >> 8), static_cast<std::uint8_t>(i));
+    spec.dst_ip = Ipv4Address(10, 2, 0, 1);
+    spec.src_port = static_cast<std::uint16_t>(20'000 + i);
+    spec.dst_port = 443;
+    spec.flags = TcpFlags::kSyn;
+    frames.push_back(build_tcp_frame(spec));
+    std::swap(spec.src_ip, spec.dst_ip);
+    std::swap(spec.src_port, spec.dst_port);
+    spec.flags = TcpFlags::kSyn | TcpFlags::kAck;
+    frames.push_back(build_tcp_frame(spec));
+    spec.flags = TcpFlags::kAck;
+    spec.payload_length = 64;
+    frames.push_back(build_tcp_frame(spec));
+  }
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "inject_shard lanes" : "inject_burst");
+    Mempool pool(1024, 2048);
+    std::uint64_t queued = 0;
+    std::uint64_t processed = 0;
+    {
+      NicConfig cfg;
+      cfg.num_queues = kQueues;
+      cfg.queue_depth = 64;
+      SimNic nic(cfg, pool);
+      std::vector<std::unique_ptr<QueueWorker>> workers;
+      for (std::uint16_t q = 0; q < kQueues; ++q) {
+        workers.push_back(std::make_unique<QueueWorker>(nic, q, 8192, nullptr));
+      }
+      std::atomic<bool> stop{false};
+      std::vector<std::thread> threads;
+      for (auto& w : workers) threads.emplace_back([&w, &stop] { w->run(stop); });
+
+      // Lossless: a refused frame retries on its own queue's lane, the
+      // way the benchmark's closed loop does.
+      const auto retry = [&nic](const RxFrame& f) {
+        const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (nic.inject_shard(nic.queue_for(f.data), {&f, 1}) == 0) {
+          if (std::chrono::steady_clock::now() > give_up) return false;
+          std::this_thread::yield();
+        }
+        return true;
+      };
+      const auto feed = [&](std::span<const RxFrame> all, std::optional<std::uint16_t> lane) {
+        bool ok[SimNic::kRxBurst];
+        for (std::size_t off = 0; off < all.size(); off += SimNic::kRxBurst) {
+          const auto burst = all.subspan(off, std::min(SimNic::kRxBurst, all.size() - off));
+          if (lane) {
+            nic.inject_shard(*lane, burst, ok);
+          } else {
+            nic.inject_burst(burst, ok);
+          }
+          for (std::size_t i = 0; i < burst.size(); ++i) {
+            if (!ok[i]) {
+              EXPECT_TRUE(retry(burst[i]));
+            }
+          }
+        }
+      };
+      std::vector<std::vector<RxFrame>> by_queue(kQueues);
+      std::vector<RxFrame> all;
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        const RxFrame f{frames[i], Timestamp::from_us(static_cast<std::int64_t>(i))};
+        all.push_back(f);
+        by_queue[nic.queue_for(f.data)].push_back(f);
+      }
+      if (sharded) {
+        std::vector<std::thread> lanes;
+        for (std::uint16_t q = 0; q < kQueues; ++q) {
+          lanes.emplace_back([&feed, &by_queue, q] { feed(by_queue[q], q); });
+        }
+        for (auto& t : lanes) t.join();
+      } else {
+        feed(all, std::nullopt);
+      }
+      stop.store(true);
+      for (auto& t : threads) t.join();
+      queued = nic.stats_totals().rx_packets;
+      for (const auto& w : workers) processed += w->stats().packets;
+    }
+    EXPECT_EQ(queued, frames.size());
+    EXPECT_EQ(processed, queued);
+    EXPECT_EQ(pool.available(), pool.capacity());
+  }
 }
 
 TEST_F(WorkerTest, EmptyPollsAreCounted) {

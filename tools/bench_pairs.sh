@@ -23,7 +23,10 @@
 #                 median) is wider than the bound, and not every change
 #                 run beats every parent run
 #   improved      the change won >= 9/10 of the pairs, and its median is
-#                 better by more than the parent's quartile spread
+#                 better by more than the parent's quartile spread and by
+#                 more than a tenth of the bound (relative to the parent's
+#                 median: 2.5% for a 0.25 bound, 0.6% for 0.06), so a
+#                 metric that barely moves is never read as a gain
 #   within bound  anything else
 #
 # Then it appends one entry (both commits, build type, nproc, pairs,
@@ -185,7 +188,8 @@ for w in workloads:
             verdict = "worse"
         elif spread > bound and not all(better(a, b) for a in c for b in p):
             verdict = "unresolved"
-        elif won >= 0.9 * pairs and better(mc, mp) and abs(mc - mp) > p3 - p1:
+        elif (won >= 0.9 * pairs and better(mc, mp)
+              and abs(mc - mp) > max(p3 - p1, bound / 10 * abs(mp))):
             verdict = "improved"
         else:
             verdict = "within bound"
