@@ -31,7 +31,7 @@ std::vector<Message> make_batch(std::size_t count, std::uint32_t host_spread) {
     s.syn_time = Timestamp::from_ms(static_cast<std::int64_t>(i));
     s.synack_time = s.syn_time + Duration::from_ms(128);
     s.ack_time = s.synack_time + Duration::from_ms(5);
-    batch.push_back(encode_latency_sample(s));
+    batch.push_back(encode_latency_batch({&s, 1}));
   }
   return batch;
 }

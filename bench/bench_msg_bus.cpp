@@ -81,11 +81,10 @@ void BM_HwmDropUnderStall(benchmark::State& state) {
 }
 BENCHMARK(BM_HwmDropUnderStall);
 
-// The batched latency feed vs the seed per-sample path, measured in
-// samples/sec end to end (encode → publish → recv → decode). batch=1
-// reproduces the original one-message-per-sample behaviour; larger
-// batches amortize the Message/Frame allocation, the queue insertion,
-// and the consumer wakeup across N samples.
+// The latency feed at several batch sizes, measured in samples/sec end
+// to end (encode → publish → recv → decode). batch=1 is one message per
+// sample; larger batches amortize the Message/Frame allocation, the
+// queue insertion, and the consumer wakeup across N samples.
 void BM_LatencyFeedPublish(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   PubSocket pub;
@@ -119,13 +118,7 @@ void BM_LatencyFeedPublish(benchmark::State& state) {
     samples[i].ack_time = Timestamp::from_ms(125);
   }
 
-  for (auto _ : state) {
-    if (batch == 1) {
-      pub.publish(encode_latency_sample(samples[0]), 1);  // seed path
-    } else {
-      pub.publish(encode_latency_batch(samples), samples.size());
-    }
-  }
+  for (auto _ : state) pub.publish(encode_latency_batch(samples), samples.size());
   stop.store(true);
   consumer.join();
 

@@ -31,7 +31,8 @@ FloodRun run_flood(double flood_rate, std::uint64_t seed) {
   SynFloodConfig cfg;
   cfg.window = Duration::from_sec(1.0);
   cfg.min_syns = 200;
-  SynFloodDetector detector(cfg);
+  std::vector<Alert> alerts;
+  SynFloodDetector detector(cfg, [&alerts](Alert a) { alerts.push_back(std::move(a)); });
   HandshakeTracker tracker(1 << 16);
 
   FloodRun r;
@@ -47,8 +48,7 @@ FloodRun run_flood(double flood_rate, std::uint64_t seed) {
       if (s->server.is_v4()) detector.on_completion(s->ack_time, s->server.v4);
     }
   }
-  std::vector<Alert> alerts;
-  detector.flush(alerts);
+  detector.flush();
   for (const auto& a : alerts) {
     if (a.kind != "syn-flood") continue;
     ++r.alerts;
@@ -85,7 +85,7 @@ void BM_SynFloodFalsePositives(benchmark::State& state) {
   int alerts = 0;
   for (auto _ : state) {
     auto model = scenarios::transpacific(0xF165, benign_rate, Duration::from_sec(5.0));
-    SynFloodDetector detector;
+    SynFloodDetector detector({}, [&alerts](Alert) { ++alerts; });
     while (auto f = model.next()) {
       PacketView view;
       if (parse_packet(f->frame, view) != ParseStatus::kOk) continue;
@@ -94,9 +94,7 @@ void BM_SynFloodFalsePositives(benchmark::State& state) {
         detector.on_completion(f->timestamp, view.ip4.dst);
       }
     }
-    std::vector<Alert> out;
-    detector.flush(out);
-    alerts += static_cast<int>(out.size());
+    detector.flush();
   }
   state.counters["false_alerts"] = alerts;
 }

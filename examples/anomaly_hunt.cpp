@@ -49,7 +49,7 @@ int main() {
   while (auto m = heat_sub->try_recv()) {
     if (m->frames.size() < 2) continue;
     decoded.clear();
-    if (!decode_latency_payload(m->frames[1], decoded)) continue;  // v1 or batched v2
+    if (!decode_latency_payload(m->frames[1], decoded)) continue;
     for (const auto& s : decoded) heatmap.add(s.syn_time, s.total());
   }
 

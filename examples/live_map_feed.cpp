@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
 
   while (auto f = model.next()) {
     const Timestamp t = f->timestamp;
-    while (!pipeline.inject(f->frame, t)) {
-    }
+    if (!pipeline.inject(f->frame, t)) retry_inject(pipeline, {f->frame, t});
     if (fps.allow(t)) {
       const ArcFrame frame = pipeline.arcs().cut_frame(t);
       if (!frame.arcs.empty()) last_frame = frame;

@@ -24,6 +24,7 @@
 
 #include "core/config_file.hpp"
 #include "core/pipeline.hpp"
+#include "core/replay.hpp"
 #include "example_util.hpp"
 #include "util/token_bucket.hpp"
 #include "viz/dashboard.hpp"
@@ -97,8 +98,7 @@ int main(int argc, char** argv) {
     // Pace against the wall clock: sleep until this frame's moment.
     const auto due = wall_start + std::chrono::nanoseconds(f->timestamp.ns);
     std::this_thread::sleep_until(due);
-    while (!pipeline.inject(f->frame, f->timestamp)) {
-    }
+    if (!pipeline.inject(f->frame, f->timestamp)) retry_inject(pipeline, {f->frame, f->timestamp});
 
     if (fps.allow(f->timestamp)) {
       const ArcFrame frame = pipeline.arcs().cut_frame(f->timestamp);

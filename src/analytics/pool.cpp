@@ -1,6 +1,5 @@
 #include "analytics/pool.hpp"
 
-#include "driver/eal.hpp"
 #include "obs/tsc_clock.hpp"
 
 namespace ruru {
@@ -22,28 +21,15 @@ EnrichmentPool::~EnrichmentPool() { stop(); }
 void EnrichmentPool::start() {
   if (started_) return;
   started_ = true;
-  threads_.reserve(thread_count_);
+  // The launcher's stop flag goes unread: a worker runs until its
+  // subscription is closed and drained.
   for (std::size_t i = 0; i < thread_count_; ++i) {
-    threads_.emplace_back([this, i] {
-      const ThreadCpuMeter::Member metered(cpu_);
-      if (i < pin_cpus_.size() && pin_cpus_[i] != kNoCpuPin) {
-        if (LcoreLauncher::pin_self(pin_cpus_[i])) {
-          pinned_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          pin_failures_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      worker_main(i);
-    });
+    const int cpu = i < pin_cpus_.size() ? pin_cpus_[i] : kNoCpuPin;
+    lcores_.launch([this, i](std::uint32_t, const std::atomic<bool>&) { worker_main(i); }, cpu);
   }
 }
 
-void EnrichmentPool::stop() {
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
-}
+void EnrichmentPool::stop() { lcores_.stop_and_join(); }
 
 void EnrichmentPool::worker_main(std::size_t index) {
   Enricher& enricher = *enrichers_[index];

@@ -2,20 +2,21 @@
 // Ruru Analytics worker pool: the multi-threaded stage of Figure 2 that
 // consumes latency measurements from the bus, enriches them, strips IPs
 // and fans the result out to downstream sinks (TSDB writer, WebSocket
-// feed, anomaly detectors).
+// feed, anomaly detectors).  Its threads start through an LcoreLauncher,
+// as the queue workers' do: the same best-effort CPU pin, the same
+// logged pin failure, the same CPU meter.
 
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "analytics/enricher.hpp"
+#include "driver/eal.hpp"
 #include "msg/codec.hpp"
 #include "msg/pubsub.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_cpu.hpp"
 
 namespace ruru {
 
@@ -41,11 +42,10 @@ class EnrichmentPool {
   /// used as the histogram shard id.
   using ObsFactory = std::function<PoolObs(std::size_t index)>;
 
-  /// `source`: a bus subscription carrying latency payloads — v1
-  /// single-sample (encode_latency_sample) and v2 batch
-  /// (encode_latency_batch) messages are both consumed. Each of the
-  /// `threads` workers owns its own Enricher (separate LRU caches, no
-  /// sharing). `geo6` optional (may be null).
+  /// `source`: a bus subscription carrying latency batches
+  /// (encode_latency_batch). Each of the `threads` workers owns its own
+  /// Enricher (separate LRU caches, no sharing). `geo6` optional (may be
+  /// null).
   EnrichmentPool(std::shared_ptr<Subscription> source, const GeoDatabase& geo,
                  const AsDatabase& as, std::size_t threads,
                  const Geo6Database* geo6 = nullptr);
@@ -63,14 +63,10 @@ class EnrichmentPool {
   void set_obs_factory(ObsFactory factory) { obs_factory_ = std::move(factory); }
 
   /// CPU pins for the pool's threads, one per worker slot (shorter lists
-  /// leave the tail unpinned; kNoCpuPin skips a slot). Best-effort, like
-  /// LcoreLauncher: failures are counted, never fatal. Call before
+  /// leave the tail unpinned; kNoCpuPin skips a slot). Best-effort: a
+  /// failed pin is logged and the thread runs unpinned. Call before
   /// start().
   void set_pin_cpus(std::vector<int> cpus) { pin_cpus_ = std::move(cpus); }
-
-  /// Threads whose affinity was applied / could not be applied.
-  [[nodiscard]] std::size_t pinned() const { return pinned_.load(); }
-  [[nodiscard]] std::size_t pin_failures() const { return pin_failures_.load(); }
 
   void start();
   /// Waits for the subscription to drain (after its publisher closes it)
@@ -82,7 +78,7 @@ class EnrichmentPool {
   /// Messages (not samples) whose payload was rejected.
   [[nodiscard]] std::uint64_t decode_failures() const { return decode_failures_.load(); }
   /// CPU time (ns) the pool's threads have used, running or joined.
-  [[nodiscard]] std::uint64_t cpu_ns() const { return cpu_.total_ns(); }
+  [[nodiscard]] std::uint64_t cpu_ns() const { return lcores_.cpu_ns(); }
   /// Aggregated cache stats across workers (valid after stop()).
   [[nodiscard]] EnricherStats combined_stats() const;
 
@@ -96,14 +92,13 @@ class EnrichmentPool {
   std::vector<Sink> sinks_;
   ObsFactory obs_factory_;
   std::vector<int> pin_cpus_;
-  std::atomic<std::size_t> pinned_{0};
-  std::atomic<std::size_t> pin_failures_{0};
-  ThreadCpuMeter cpu_;
-  std::vector<std::thread> threads_;
   std::vector<std::unique_ptr<Enricher>> enrichers_;
   std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> decode_failures_{0};
   bool started_ = false;
+  /// Last: its destructor joins the threads before the state they use
+  /// goes away.
+  LcoreLauncher lcores_;
 };
 
 }  // namespace ruru

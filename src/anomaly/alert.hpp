@@ -2,6 +2,7 @@
 // Alerts raised by the anomaly modules (§3: latency micro-glitches,
 // SYN floods, unusual connection counts).
 
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -17,6 +18,11 @@ struct Alert {
   double score = 0.0;   ///< detector-specific severity (z-score, ratio, ...)
   std::string detail;
 };
+
+/// Where a windowed detector hands each alert the moment its window
+/// closes.  It runs under the detector's mutex, so it may take only leaf
+/// locks (AlertLog's).  An empty sink drops the alerts.
+using AlertSink = std::function<void(Alert)>;
 
 /// Thread-safe alert collector shared by all detectors in a pipeline.
 class AlertLog {

@@ -33,7 +33,7 @@ void ConnCountDetector::close_window_locked(Timestamp start) {
       std::snprintf(buf, sizeof buf, "%llu connections vs baseline %.1f (sigma %.1f)",
                     static_cast<unsigned long long>(count), st.mean, sigma);
       a.detail = buf;
-      alerts_.push_back(std::move(a));
+      if (sink_) sink_(std::move(a));
       // Do not absorb the anomaly into the baseline.
     } else {
       const double delta = x - st.mean;
@@ -45,18 +45,9 @@ void ConnCountDetector::close_window_locked(Timestamp start) {
   window_counts_.clear();
 }
 
-void ConnCountDetector::flush(std::vector<Alert>& out) {
+void ConnCountDetector::flush() {
   std::lock_guard lock(mu_);
   window_.flush([this](Timestamp start) { close_window_locked(start); });
-  out.insert(out.end(), alerts_.begin(), alerts_.end());
-  alerts_.clear();
-}
-
-std::vector<Alert> ConnCountDetector::take_alerts() {
-  std::lock_guard lock(mu_);
-  std::vector<Alert> out;
-  out.swap(alerts_);
-  return out;
 }
 
 }  // namespace ruru

@@ -3,7 +3,8 @@
 // connections between two locations").
 //
 // Counts completed handshakes per location pair in fixed windows and
-// scores each window's count against an EWMA baseline per pair.  Fed
+// scores each window's count against an EWMA baseline per pair; an
+// anomalous window's alert goes to the sink as the window closes.  Fed
 // from EnrichedSample (post-anonymization — it only needs locations).
 // Pairs are keyed on packed interned city ids; the "src|dst" text is
 // built only when an alert actually fires.
@@ -11,8 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <string>
-#include <vector>
 
 #include "analytics/enriched_sample.hpp"
 #include "anomaly/alert.hpp"
@@ -30,16 +29,14 @@ struct ConnCountConfig {
 
 class ConnCountDetector {
  public:
-  explicit ConnCountDetector(ConnCountConfig config = {})
-      : config_(config), window_(config.window) {}
+  explicit ConnCountDetector(ConnCountConfig config = {}, AlertSink sink = {})
+      : config_(config), sink_(std::move(sink)), window_(config.window) {}
 
   /// Thread-safe.
   void add(const EnrichedSample& sample);
 
-  /// Close the current window unconditionally and collect alerts.
-  void flush(std::vector<Alert>& out);
-
-  [[nodiscard]] std::vector<Alert> take_alerts();
+  /// Close the current window unconditionally (end of run).
+  void flush();
 
  private:
   struct PairState {
@@ -51,11 +48,11 @@ class ConnCountDetector {
   void close_window_locked(Timestamp start);
 
   ConnCountConfig config_;
+  AlertSink sink_;
   std::mutex mu_;
   TumblingWindow window_;
   std::map<std::uint64_t, std::uint64_t> window_counts_;  // (src_city << 32) | dst_city
   std::map<std::uint64_t, PairState> baselines_;
-  std::vector<Alert> alerts_;
 };
 
 }  // namespace ruru

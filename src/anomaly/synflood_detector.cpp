@@ -21,7 +21,7 @@ void SynFloodDetector::close_window_locked(Timestamp start) {
                   static_cast<unsigned long long>(c.completions), ratio,
                   config_.window.to_sec());
     a.detail = buf;
-    alerts_.push_back(std::move(a));
+    if (sink_) sink_(std::move(a));
   }
   counts_.clear();
 }
@@ -56,18 +56,9 @@ void SynFloodDetector::on_completions(std::span<const LatencySample> samples) {
   }
 }
 
-void SynFloodDetector::flush(std::vector<Alert>& out) {
+void SynFloodDetector::flush() {
   std::lock_guard lock(mu_);
   window_.flush([this](Timestamp start) { close_window_locked(start); });
-  out.insert(out.end(), alerts_.begin(), alerts_.end());
-  alerts_.clear();
-}
-
-std::vector<Alert> SynFloodDetector::take_alerts() {
-  std::lock_guard lock(mu_);
-  std::vector<Alert> out;
-  out.swap(alerts_);
-  return out;
 }
 
 }  // namespace ruru

@@ -5,7 +5,8 @@
 // Runs *before* anonymization, on the capture side of the pipeline: it
 // consumes SYN events and handshake completions keyed by the target
 // server, and closes fixed windows as time advances.  A window alerts
-// when a target received many SYNs with a low completion ratio.
+// when a target received many SYNs with a low completion ratio; each
+// alert goes to the sink as its window closes.
 //
 // Every worker feeds one detector, so its mutex is shared: the batched
 // calls take it once per worker burst of SYNs and once per flushed
@@ -15,7 +16,6 @@
 #include <mutex>
 #include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "anomaly/alert.hpp"
 #include "flow/latency_sample.hpp"
@@ -31,8 +31,8 @@ struct SynFloodConfig {
 
 class SynFloodDetector {
  public:
-  explicit SynFloodDetector(SynFloodConfig config = {})
-      : config_(config), window_(config.window) {}
+  explicit SynFloodDetector(SynFloodConfig config = {}, AlertSink sink = {})
+      : config_(config), sink_(std::move(sink)), window_(config.window) {}
 
   /// A SYN towards `server` observed at `time`. Thread-safe.
   void on_syn(Timestamp time, Ipv4Address server);
@@ -46,11 +46,8 @@ class SynFloodDetector {
   /// new connections and would dilute the SYN ratio.  Thread-safe.
   void on_completions(std::span<const LatencySample> samples);
 
-  /// Force-close the current window (end of run). Appends alerts found.
-  void flush(std::vector<Alert>& out);
-
-  /// Alerts raised by closed windows so far.
-  [[nodiscard]] std::vector<Alert> take_alerts();
+  /// Force-close the current window (end of run).
+  void flush();
 
  private:
   struct Counts {
@@ -62,10 +59,10 @@ class SynFloodDetector {
   void count_locked(Timestamp time, Ipv4Address server, std::uint64_t Counts::*field);
 
   SynFloodConfig config_;
+  AlertSink sink_;
   std::mutex mu_;
   TumblingWindow window_;
   std::unordered_map<Ipv4Address, Counts> counts_;
-  std::vector<Alert> alerts_;
 };
 
 }  // namespace ruru

@@ -133,8 +133,15 @@ RuruPipeline::RuruPipeline(PipelineConfig config, const GeoDatabase& geo, const 
   nic_cfg.trace_sample_n = tracer_.enabled() ? config_.trace_sample_n : 0;
   nic_ = std::make_unique<SimNic>(nic_cfg, pool_);
 
-  if (config_.enable_synflood) synflood_ = std::make_unique<SynFloodDetector>(config_.synflood);
-  if (config_.enable_conncount) conncount_ = std::make_unique<ConnCountDetector>(config_.conncount);
+  // The windowed detectors raise each alert as its window closes: the
+  // SYN-flood detector on a worker thread, conn-count on an enricher.
+  const AlertSink raise_alert = [this](Alert a) { raise(std::move(a)); };
+  if (config_.enable_synflood) {
+    synflood_ = std::make_unique<SynFloodDetector>(config_.synflood, raise_alert);
+  }
+  if (config_.enable_conncount) {
+    conncount_ = std::make_unique<ConnCountDetector>(config_.conncount, raise_alert);
+  }
   if (config_.enable_ewma) ewma_ = std::make_unique<EwmaDetector>(config_.ewma);
   if (config_.enable_periodic) {
     periodic_ = std::make_unique<PeriodicSpikeDetector>(config_.periodic);
@@ -492,9 +499,7 @@ void RuruPipeline::wire_sinks() {
       }
       if (alert) {
         alert->subject = pair_label(city_pair_key(s));
-        bus_.publish(encode_alert(*alert));  // live "ruru.alerts" feed
-        alerts_published_.fetch_add(1, std::memory_order_relaxed);
-        alerts_.raise(std::move(*alert));
+        raise(std::move(*alert));
       }
     }
     if (periodic_) {
@@ -506,6 +511,16 @@ void RuruPipeline::wire_sinks() {
     }
     if (conncount_) conncount_->add(s);
   });
+}
+
+void RuruPipeline::raise(Alert alert) {
+  // Alerts decided after the bus closed (the last conn-count window, the
+  // periodic findings) reach the log only.
+  if (!bus_closed_.load(std::memory_order_acquire)) {
+    bus_.publish(encode_alert(alert));  // live "ruru.alerts" feed
+    alerts_published_.fetch_add(1, std::memory_order_relaxed);
+  }
+  alerts_.raise(std::move(alert));
 }
 
 RuruPipeline::~RuruPipeline() { finish(); }
@@ -567,32 +582,25 @@ void RuruPipeline::finish() {
   }
   // 1. Workers drain their queues, then stop.
   lcores_.stop_and_join();
-  // 2. Flush capture-side windowed detectors (they are fed by workers,
-  //    which have stopped) and publish their alerts while the bus is
-  //    still open so "ruru.alerts" subscribers see them.
-  std::vector<Alert> capture_side;
-  if (synflood_) synflood_->flush(capture_side);
-  for (auto& a : capture_side) {
-    bus_.publish(encode_alert(a));
-    alerts_published_.fetch_add(1, std::memory_order_relaxed);
-    alerts_.raise(std::move(a));
-  }
+  // 2. Close the SYN-flood detector's last window (its workers have
+  //    stopped) while the bus is still open, so "ruru.alerts"
+  //    subscribers see its alerts.
+  if (synflood_) synflood_->flush();
   // 3. Close the bus; enrichment workers drain the backlog and exit.
-  //    (conncount/periodic are fed by enrichment, so they flush after —
+  //    (conncount/periodic are fed by enrichment, so they close after —
   //    their end-of-run alerts reach the log but not closed
   //    subscriptions.)
+  bus_closed_.store(true, std::memory_order_release);
   bus_.close_all();
   enrichment_->stop();
   // Telemetry thread stops after the stages it watches drain; stop()
   // takes one final snapshot so exporters see the end-of-run totals.
   if (snapshot_timer_) snapshot_timer_->stop();
-  std::vector<Alert> pending;
-  if (conncount_) conncount_->flush(pending);
+  if (conncount_) conncount_->flush();
   if (periodic_) {
     std::lock_guard lock(periodic_mu_);
-    for (auto& a : periodic_->alerts()) pending.push_back(a);
+    for (Alert& a : periodic_->alerts()) raise(std::move(a));
   }
-  for (auto& a : pending) alerts_.raise(std::move(a));
 
   // 4. Persist link-load windows ("SNMP view, but per second").
   link_meter_.flush();

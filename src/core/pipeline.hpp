@@ -281,6 +281,10 @@ class RuruPipeline {
  private:
   void wire_sinks();
   void register_metrics();
+  /// The one way an alert leaves a detector: published on "ruru.alerts"
+  /// while the bus is open, and appended to alerts().  Thread-safe; takes
+  /// only AlertLog's lock, so detectors may call it under their own.
+  void raise(Alert alert);
 
   PipelineConfig config_;
   const GeoDatabase& geo_;
@@ -314,6 +318,7 @@ class RuruPipeline {
   std::mutex periodic_mu_;
 
   std::atomic<std::uint64_t> alerts_published_{0};
+  std::atomic<bool> bus_closed_{false};  ///< set by finish() before close_all()
   bool started_ = false;
   bool finished_ = false;
 

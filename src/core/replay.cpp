@@ -7,26 +7,18 @@
 
 namespace ruru {
 
-namespace {
-
-/// Bounded yield-retry for one dropped frame (lossless accuracy runs:
-/// give the workers time to drain, then count an honest drop).
-bool retry_inject(RuruPipeline& pipeline, std::span<const std::uint8_t> frame, Timestamp ts) {
-  for (int attempt = 0; attempt < 1'000'000; ++attempt) {
-    std::this_thread::yield();
-    if (pipeline.inject(frame, ts)) return true;
-  }
-  return false;  // pipeline wedged; caller counts and moves on
-}
-
-/// Lane-local variant: retry one frame on its own producer lane.
-bool retry_inject_shard(RuruPipeline& pipeline, std::uint16_t queue, const RxFrame& frame) {
+bool retry_inject(RuruPipeline& pipeline, const RxFrame& frame) {
+  // Lossless accuracy runs: give the workers time to drain, then count
+  // an honest drop.
+  const std::uint16_t queue = pipeline.queue_for(frame.data);
   for (int attempt = 0; attempt < 1'000'000; ++attempt) {
     std::this_thread::yield();
     if (pipeline.inject_shard(queue, {&frame, 1}) == 1) return true;
   }
-  return false;
+  return false;  // pipeline wedged; caller counts and moves on
 }
+
+namespace {
 
 /// Frames per inject_burst() call: one worker rx burst, so each burst
 /// costs one SpscRing release-store per queue instead of one per frame.
@@ -57,9 +49,7 @@ class BurstInjector {
     pipeline_.inject_burst(refs_, queued_.data());
     for (std::size_t i = 0; i < frames_.size(); ++i) {
       if (queued_[i]) continue;
-      if (retry_drops_ && retry_inject(pipeline_, frames_[i].frame, frames_[i].timestamp)) {
-        continue;
-      }
+      if (retry_drops_ && retry_inject(pipeline_, refs_[i])) continue;
       ++stats_.inject_drops;
     }
     frames_.clear();
@@ -127,7 +117,7 @@ ReplayStats replay_scenario_sharded(RuruPipeline& pipeline, TrafficModel& model,
         pipeline.inject_shard(q, chunk, queued.data());
         for (std::size_t i = 0; i < n; ++i) {
           if (queued[i]) continue;
-          if (retry_drops && retry_inject_shard(pipeline, q, chunk[i])) continue;
+          if (retry_drops && retry_inject(pipeline, chunk[i])) continue;
           ++lane_drops[q];
         }
       }
@@ -154,7 +144,7 @@ ReplayStats replay_scenario_paced(RuruPipeline& pipeline, TrafficModel& model,
     ++stats.frames;
     stats.bytes += frame->frame.size();
     if (!pipeline.inject(frame->frame, frame->timestamp) &&
-        !retry_inject(pipeline, frame->frame, frame->timestamp)) {
+        !retry_inject(pipeline, {frame->frame, frame->timestamp})) {
       ++stats.inject_drops;
     }
   }

@@ -27,6 +27,13 @@ struct ReplayStats {
   }
 };
 
+/// Retries a frame the NIC refused on its own RSS queue (a bounded
+/// yield loop while the workers drain), through inject_shard(), which
+/// does not feed the link meter: the refused attempt already metered the
+/// frame.  Call from the producer thread.  False when the pipeline stays
+/// wedged; the caller counts the drop.
+bool retry_inject(RuruPipeline& pipeline, const RxFrame& frame);
+
 /// Drains `model` into `pipeline` (which must be started).
 /// `retry_drops`: when the NIC queue/mempool is momentarily full, retry
 /// instead of dropping — keeps accuracy experiments lossless; throughput

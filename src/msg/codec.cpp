@@ -8,14 +8,12 @@ namespace ruru {
 
 namespace {
 
-constexpr std::uint8_t kVersion = 1;
-constexpr std::uint8_t kBatchVersion = 2;
+// 2, not 1: the retired single-sample format carried version 1.
+constexpr std::uint8_t kVersion = 2;
 // family(1) client16 server16 cport(2) sport(2) syn(8) synack(8) ack(8)
-// rss(4) queue(2) — shared by both payload versions.
+// rss(4) queue(2)
 constexpr std::size_t kRecordSize = 1 + 16 + 16 + 2 + 2 + 8 + 8 + 8 + 4 + 2;
-// v1: version(1) + record
-constexpr std::size_t kPayloadSize = 1 + kRecordSize;
-// v2: version(1) + count(2) + count * record
+// version(1) + count(2) + count * record
 constexpr std::size_t kBatchHeaderSize = 1 + 2;
 
 void put_ip(std::uint8_t* p, const IpAddress& a) {
@@ -88,31 +86,10 @@ const Frame& latency_topic_frame() {
   return frame;
 }
 
-Message encode_latency_sample(const LatencySample& s) {
-  std::vector<std::uint8_t> buf(kPayloadSize);
-  buf[0] = kVersion;
-  put_record(buf.data() + 1, s);
-
-  Message m;
-  m.frames.reserve(2);
-  m.frames.push_back(latency_topic_frame());
-  m.frames.push_back(Frame::adopt(std::move(buf)));
-  return m;
-}
-
-std::optional<LatencySample> decode_latency_sample(const Frame& payload) {
-  if (payload.size() != kPayloadSize) return std::nullopt;
-  const std::uint8_t* p = payload.data();
-  if (p[0] != kVersion) return std::nullopt;
-  LatencySample s;
-  if (!get_record(p + 1, s)) return std::nullopt;
-  return s;
-}
-
 Message encode_latency_batch(std::span<const LatencySample> samples) {
   const std::size_t count = samples.size() < kMaxLatencyBatch ? samples.size() : kMaxLatencyBatch;
   std::vector<std::uint8_t> buf(kBatchHeaderSize + count * kRecordSize);
-  buf[0] = kBatchVersion;
+  buf[0] = kVersion;
   store_be16(buf.data() + 1, static_cast<std::uint16_t>(count));
   std::uint8_t* p = buf.data() + kBatchHeaderSize;
   std::uint32_t batch_trace_id = 0;
@@ -132,10 +109,10 @@ Message encode_latency_batch(std::span<const LatencySample> samples) {
   return m;
 }
 
-bool decode_latency_batch(const Frame& payload, std::vector<LatencySample>& out) {
+bool decode_latency_payload(const Frame& payload, std::vector<LatencySample>& out) {
   if (payload.size() < kBatchHeaderSize) return false;
   const std::uint8_t* p = payload.data();
-  if (p[0] != kBatchVersion) return false;
+  if (p[0] != kVersion) return false;
   const std::size_t count = load_be16(p + 1);
   if (count > kMaxLatencyBatch) return false;
   if (payload.size() != kBatchHeaderSize + count * kRecordSize) return false;
@@ -150,16 +127,6 @@ bool decode_latency_batch(const Frame& payload, std::vector<LatencySample>& out)
     }
   }
   return true;
-}
-
-bool decode_latency_payload(const Frame& payload, std::vector<LatencySample>& out) {
-  if (payload.empty()) return false;
-  if (payload.data()[0] == kBatchVersion) return decode_latency_batch(payload, out);
-  if (auto s = decode_latency_sample(payload)) {
-    out.push_back(*s);
-    return true;
-  }
-  return false;
 }
 
 }  // namespace ruru

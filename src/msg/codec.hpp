@@ -3,17 +3,15 @@
 //
 // The DPDK stage publishes (src ip, dst ip, internal, external) — the
 // paper's exact record — on topic "ruru.latency".  Encoding is a fixed
-// little-endian layout; decode validates length and version so bus
+// big-endian layout; decode validates length and version so bus
 // consumers can reject foreign traffic.
 //
-// Two payload versions share one record layout:
-//  * v1: [version=1][record]                 — one sample per message;
-//  * v2: [version=2][count BE16][records...] — up to kMaxLatencyBatch
-//    samples per message, the batched feed the queue workers emit.
-// Consumers that tap the live topic should use decode_latency_payload,
-// which dispatches on the version byte and accepts both.
+// One payload version: [version=2][count BE16][records...], up to
+// kMaxLatencyBatch samples per message — the batched feed the queue
+// workers emit.  A single sample travels as a batch of one.  Any other
+// version byte (the retired v1 single-sample format included) is
+// refused like any foreign payload.
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -28,26 +26,15 @@ inline constexpr std::string_view kLatencyTopic = "ruru.latency";
 /// instead of re-allocating the topic per publish.
 [[nodiscard]] const Frame& latency_topic_frame();
 
-/// Encodes the sample as a two-frame message: [topic, payload] (v1).
-[[nodiscard]] Message encode_latency_sample(const LatencySample& sample);
-
-/// Decodes a v1 payload frame produced by encode_latency_sample.
-[[nodiscard]] std::optional<LatencySample> decode_latency_sample(const Frame& payload);
-
 /// Encodes up to kMaxLatencyBatch samples into one [topic, payload]
-/// message (v2). Samples beyond the bound are not encoded — callers
-/// (the worker accumulator) flush at or below it.
+/// message. Samples beyond the bound are not encoded — callers (the
+/// worker accumulator) flush at or below it.
 [[nodiscard]] Message encode_latency_batch(std::span<const LatencySample> samples);
 
-/// Decodes a v2 batch payload, appending every sample to `out`.
-/// Truncated or oversized payloads, bad version bytes, count/length
+/// Decodes a batch payload, appending every sample to `out`.  Truncated
+/// or oversized payloads, a foreign version byte, count/length
 /// mismatches and corrupt records are all rejected as a whole: returns
 /// false and leaves `out` exactly as it was.
-[[nodiscard]] bool decode_latency_batch(const Frame& payload, std::vector<LatencySample>& out);
-
-/// Version-dispatching decode: accepts v1 single-sample and v2 batch
-/// payloads, appending to `out`. False (and `out` untouched) on corrupt
-/// or foreign payloads.
 [[nodiscard]] bool decode_latency_payload(const Frame& payload, std::vector<LatencySample>& out);
 
 }  // namespace ruru

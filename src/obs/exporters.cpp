@@ -123,12 +123,16 @@ void PrometheusExporter::export_snapshot(const MetricsSnapshot& snap,
     out_->flush();
     return;
   }
-  std::ofstream f(path_, std::ios::trunc);
-  if (!f) {
-    RURU_LOG_EVERY_N(kWarn, "obs", 60) << "cannot write prometheus file '" << path_ << "'";
-    return;
-  }
+  // Write a sibling, then rename it over the path: a collector reading
+  // the file sees the previous exposition or this one, never a torn one.
+  const std::string tmp = path_ + ".tmp";
+  std::ofstream f(tmp, std::ios::trunc);
   f << text;
+  f.close();  // flushes; a failed open, write or close sets failbit
+  if (f.fail() || std::rename(tmp.c_str(), path_.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    RURU_LOG_EVERY_N(kWarn, "obs", 60) << "cannot write prometheus file '" << path_ << "'";
+  }
 }
 
 // --- JsonLinesExporter ---

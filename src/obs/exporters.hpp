@@ -60,7 +60,8 @@ class PrometheusExporter final : public MetricsExporter {
   /// Writes to `out` (not owned; appends a fresh exposition per
   /// snapshot, separated by a blank line).
   explicit PrometheusExporter(std::ostream& out);
-  /// Rewrites `path` atomically-ish (truncate + write) per snapshot.
+  /// Rewrites `path` atomically per snapshot (write `path`.tmp, then
+  /// rename it over `path`).
   explicit PrometheusExporter(std::string path);
 
   void export_snapshot(const MetricsSnapshot& snap, const SnapshotDelta& delta) override;

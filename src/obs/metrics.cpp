@@ -111,15 +111,6 @@ void HistogramHandle::record_shared_impl(std::int64_t value) const {
 
 // --- MetricsRegistry ---
 
-detail::CounterMetric& MetricsRegistry::counter_metric(const std::string& name) {
-  for (auto& m : counters_) {
-    if (m->name == name) return *m;
-  }
-  counters_.push_back(std::make_unique<detail::CounterMetric>());
-  counters_.back()->name = name;
-  return *counters_.back();
-}
-
 detail::HistogramMetric& MetricsRegistry::histogram_metric(const std::string& name) {
   for (auto& m : histograms_) {
     if (m->name == name) return *m;
@@ -127,25 +118,6 @@ detail::HistogramMetric& MetricsRegistry::histogram_metric(const std::string& na
   histograms_.push_back(std::make_unique<detail::HistogramMetric>());
   histograms_.back()->name = name;
   return *histograms_.back();
-}
-
-CounterHandle MetricsRegistry::counter(const std::string& name, std::size_t shard) {
-  std::lock_guard lock(mu_);
-  detail::CounterMetric& m = counter_metric(name);
-  while (m.shards.size() <= shard) {
-    m.shards.push_back(std::make_unique<detail::CounterCell>());
-  }
-  return CounterHandle(m.shards[shard].get());
-}
-
-GaugeHandle MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard lock(mu_);
-  for (auto& g : gauges_) {
-    if (g->name == name) return GaugeHandle(g.get());
-  }
-  gauges_.push_back(std::make_unique<detail::GaugeMetric>());
-  gauges_.back()->name = name;
-  return GaugeHandle(gauges_.back().get());
 }
 
 HistogramHandle MetricsRegistry::histogram(const std::string& name, std::size_t shard) {
@@ -172,18 +144,9 @@ MetricsSnapshot MetricsRegistry::snapshot(Timestamp now) const {
   MetricsSnapshot snap;
   snap.taken_at = now;
 
-  snap.counters.reserve(counters_.size() + counter_fns_.size());
-  for (const auto& m : counters_) {
-    std::uint64_t total = 0;
-    for (const auto& cell : m->shards) total += cell->value.load(std::memory_order_relaxed);
-    snap.counters.emplace_back(m->name, total);
-  }
+  snap.counters.reserve(counter_fns_.size());
   for (const auto& cb : counter_fns_) snap.counters.emplace_back(cb.name, cb.fn());
-
-  snap.gauges.reserve(gauges_.size() + gauge_fns_.size());
-  for (const auto& g : gauges_) {
-    snap.gauges.emplace_back(g->name, g->value.load(std::memory_order_relaxed));
-  }
+  snap.gauges.reserve(gauge_fns_.size());
   for (const auto& cb : gauge_fns_) snap.gauges.emplace_back(cb.name, cb.fn());
 
   snap.histograms.reserve(histograms_.size());
@@ -217,8 +180,7 @@ MetricsSnapshot MetricsRegistry::snapshot(Timestamp now) const {
 
 std::size_t MetricsRegistry::metric_count() const {
   std::lock_guard lock(mu_);
-  return counters_.size() + counter_fns_.size() + gauges_.size() + gauge_fns_.size() +
-         histograms_.size();
+  return counter_fns_.size() + gauge_fns_.size() + histograms_.size();
 }
 
 }  // namespace ruru::obs

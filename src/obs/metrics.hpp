@@ -8,14 +8,13 @@
 //
 //  * metrics are registered ONCE at pipeline construction (a mutex
 //    guards registration and snapshot — never the data path);
-//  * hot-path handles are raw pointers into shard storage; recording is
-//    relaxed atomic loads/stores with no locks and no allocation;
-//  * each metric has per-worker shards — one writer per shard, so
-//    writers use plain load+store (no RMW lock prefix) — and shards are
-//    merged on read by snapshot();
-//  * stages that already keep single-writer stat structs (NicStats,
-//    WorkerStats, ...) are exposed through callback metrics polled at
-//    snapshot time, so the per-packet path is not instrumented twice.
+//  * counters and gauges are callbacks polled at snapshot time over the
+//    stages' own single-writer stat cells (NicStats, WorkerStats, ...)
+//    and atomics, so the per-packet path is not instrumented twice;
+//  * histograms are pushed through hot-path handles: raw pointers into
+//    per-worker shards, one writer per shard, so recording is relaxed
+//    atomic loads/stores (no RMW lock prefix, no lock, no allocation);
+//    snapshot() merges the shards on read.
 //
 // Histograms reuse Histogram's log-linear bucketing (<= ~3.2% relative
 // error), stored as per-shard atomic bucket arrays.
@@ -90,11 +89,7 @@ struct SnapshotDelta {
 
 namespace detail {
 
-// One cache line per cell: shards of one metric never false-share.
-struct alignas(64) CounterCell {
-  std::atomic<std::uint64_t> value{0};
-};
-
+// One cache line per shard: shards of one histogram never false-share.
 struct alignas(64) HistShard {
   static constexpr std::size_t kBuckets =
       static_cast<std::size_t>(Histogram::kMajors) * Histogram::kMinors;
@@ -104,16 +99,6 @@ struct alignas(64) HistShard {
   std::atomic<std::int64_t> sum{0};
   std::atomic<std::int64_t> min{0};
   std::atomic<std::int64_t> max{0};
-};
-
-struct CounterMetric {
-  std::string name;
-  std::vector<std::unique_ptr<CounterCell>> shards;
-};
-
-struct GaugeMetric {
-  std::string name;
-  std::atomic<double> value{0.0};
 };
 
 struct HistogramMetric {
@@ -133,42 +118,9 @@ struct CallbackGauge {
 
 }  // namespace detail
 
-/// Hot-path handle to one shard of a counter.  Single writer per shard:
-/// add() is a relaxed load+store, not an RMW.  Default-constructed
-/// handles are inert no-ops (metrics disabled).
-class CounterHandle {
- public:
-  CounterHandle() = default;
-  void add(std::uint64_t n = 1) const {
-    if (cell_ == nullptr) return;
-    cell_->value.store(cell_->value.load(std::memory_order_relaxed) + n,
-                       std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool attached() const { return cell_ != nullptr; }
-
- private:
-  friend class MetricsRegistry;
-  explicit CounterHandle(detail::CounterCell* cell) : cell_(cell) {}
-  detail::CounterCell* cell_ = nullptr;
-};
-
-/// Hot-path handle to a gauge (single cell; last writer wins).
-class GaugeHandle {
- public:
-  GaugeHandle() = default;
-  void set(double v) const {
-    if (cell_ != nullptr) cell_->value.store(v, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool attached() const { return cell_ != nullptr; }
-
- private:
-  friend class MetricsRegistry;
-  explicit GaugeHandle(detail::GaugeMetric* cell) : cell_(cell) {}
-  detail::GaugeMetric* cell_ = nullptr;
-};
-
 /// Hot-path handle to one shard of a log-linear histogram.  Single
 /// writer per shard; record() is a handful of relaxed loads/stores.
+/// Default-constructed handles are inert no-ops (metrics disabled).
 class HistogramHandle {
  public:
   HistogramHandle() = default;
@@ -208,32 +160,27 @@ class MetricsRegistry {
 
   // --- registration (construction time; mutex-guarded, not hot) ---
 
-  /// Handle to shard `shard` of counter `name` (created on first use;
+  /// Handle to shard `shard` of histogram `name` (created on first use;
   /// shards grow to cover the largest index requested).
-  CounterHandle counter(const std::string& name, std::size_t shard = 0);
-  GaugeHandle gauge(const std::string& name);
   HistogramHandle histogram(const std::string& name, std::size_t shard = 0);
 
-  /// Callback metrics are polled at snapshot time only — zero data-path
-  /// cost.  `fn` must be safe to call from the snapshot thread (read
-  /// atomics / StatCells, or take the target's own lock).
+  /// Counters and gauges are callbacks polled at snapshot time only —
+  /// zero data-path cost.  `fn` must be safe to call from the snapshot
+  /// thread (read atomics / StatCells, or take the target's own lock).
   void register_counter_fn(std::string name, std::function<std::uint64_t()> fn);
   void register_gauge_fn(std::string name, std::function<double()> fn);
 
-  /// Merged view of everything, shards summed, callbacks polled.
+  /// Merged view of everything, callbacks polled, histogram shards merged.
   [[nodiscard]] MetricsSnapshot snapshot(Timestamp now) const;
 
   [[nodiscard]] std::size_t metric_count() const;
 
  private:
-  detail::CounterMetric& counter_metric(const std::string& name);
   detail::HistogramMetric& histogram_metric(const std::string& name);
 
   mutable std::mutex mu_;
   // unique_ptr elements: handles hold raw pointers, so storage must be
   // address-stable across later registrations.
-  std::vector<std::unique_ptr<detail::CounterMetric>> counters_;
-  std::vector<std::unique_ptr<detail::GaugeMetric>> gauges_;
   std::vector<std::unique_ptr<detail::HistogramMetric>> histograms_;
   std::vector<detail::CallbackCounter> counter_fns_;
   std::vector<detail::CallbackGauge> gauge_fns_;

@@ -11,6 +11,9 @@
 namespace ruru {
 namespace {
 
+/// One sample travels as a batch of one.
+Message encode_one(const LatencySample& s) { return encode_latency_batch({&s, 1}); }
+
 class PoolTest : public ::testing::Test {
  protected:
   PoolTest() {
@@ -42,7 +45,7 @@ TEST_F(PoolTest, ProcessesAllPublishedSamples) {
 
   constexpr int kCount = 2'000;
   for (int i = 0; i < kCount; ++i) {
-    bus.publish(encode_latency_sample(sample((100u << 24) + static_cast<std::uint32_t>(i % 4096))));
+    bus.publish(encode_one(sample((100u << 24) + static_cast<std::uint32_t>(i % 4096))));
   }
   bus.close_all();
   pool.stop();
@@ -79,7 +82,7 @@ TEST_F(PoolTest, MultipleSinksAllInvoked) {
   pool.add_sink([&](const EnrichedSample&) { a.fetch_add(1); });
   pool.add_sink([&](const EnrichedSample&) { b.fetch_add(1); });
   pool.start();
-  for (int i = 0; i < 100; ++i) bus.publish(encode_latency_sample(sample((100u << 24) + 1)));
+  for (int i = 0; i < 100; ++i) bus.publish(encode_one(sample((100u << 24) + 1)));
   bus.close_all();
   pool.stop();
   EXPECT_EQ(a.load(), 100);
@@ -152,7 +155,7 @@ TEST_F(PoolTest, ShardedInboxConservesSamplesAcrossLanes) {
   constexpr int kCount = 4'000;
   for (int i = 0; i < kCount; ++i) {
     bus.publish_lane(static_cast<std::size_t>(i % 4),
-                     encode_latency_sample(sample((100u << 24) + static_cast<std::uint32_t>(i % 4096))));
+                     encode_one(sample((100u << 24) + static_cast<std::uint32_t>(i % 4096))));
   }
   bus.close_all();
   pool.stop();
@@ -176,7 +179,7 @@ TEST_F(PoolTest, ShardedInboxOffFallsBackToSharedScan) {
   constexpr int kCount = 2'000;
   for (int i = 0; i < kCount; ++i) {
     bus.publish_lane(static_cast<std::size_t>(i) % kLanes,
-                     encode_latency_sample(sample((100u << 24) + static_cast<std::uint32_t>(i % 4096))));
+                     encode_one(sample((100u << 24) + static_cast<std::uint32_t>(i % 4096))));
   }
   bus.close_all();
   pool.stop();
@@ -210,7 +213,7 @@ TEST_F(PoolTest, ShardedInboxKeepsLaneOrderPerWorker) {
     s.syn_time = Timestamp::from_ns(i * 2 + static_cast<std::int64_t>(lane));
     s.synack_time = s.syn_time + Duration::from_ms(100);
     s.ack_time = s.syn_time + Duration::from_ms(105);
-    bus.publish_lane(lane, encode_latency_sample(s));
+    bus.publish_lane(lane, encode_one(s));
   }
   bus.close_all();
   pool.stop();

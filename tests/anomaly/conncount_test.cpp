@@ -16,6 +16,11 @@ ConnCountConfig config() {
   return cfg;
 }
 
+/// A sink that collects every alert the detector raises into `out`.
+AlertSink into(std::vector<Alert>& out) {
+  return [&out](Alert a) { out.push_back(std::move(a)); };
+}
+
 EnrichedSample sample(const std::string& src, const std::string& dst, Timestamp t) {
   EnrichedSample s;
   s.client.city_id = geo_names().intern(src);
@@ -34,20 +39,20 @@ void feed_window(ConnCountDetector& d, int w, int count, const std::string& src 
 }
 
 TEST(ConnCountDetector, SteadyTrafficNoAlerts) {
-  ConnCountDetector d(config());
-  for (int w = 0; w < 20; ++w) feed_window(d, w, 10);
   std::vector<Alert> alerts;
-  d.flush(alerts);
+  ConnCountDetector d(config(), into(alerts));
+  for (int w = 0; w < 20; ++w) feed_window(d, w, 10);
+  d.flush();
   EXPECT_TRUE(alerts.empty());
 }
 
 TEST(ConnCountDetector, DetectsConnectionSurge) {
-  ConnCountDetector d(config());
+  std::vector<Alert> alerts;
+  ConnCountDetector d(config(), into(alerts));
   for (int w = 0; w < 10; ++w) feed_window(d, w, 10);
   feed_window(d, 10, 300);  // 30x surge
   feed_window(d, 11, 10);   // closes the surge window
-  std::vector<Alert> alerts;
-  d.flush(alerts);
+  d.flush();
   ASSERT_GE(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].kind, "conn-count");
   EXPECT_EQ(alerts[0].subject, "Auckland|Los Angeles");
@@ -55,11 +60,11 @@ TEST(ConnCountDetector, DetectsConnectionSurge) {
 }
 
 TEST(ConnCountDetector, WarmupSuppressesEarlyAlerts) {
-  ConnCountDetector d(config());
+  std::vector<Alert> alerts;
+  ConnCountDetector d(config(), into(alerts));
   feed_window(d, 0, 500);
   feed_window(d, 1, 1);  // close window 0 during warmup
-  std::vector<Alert> alerts;
-  d.flush(alerts);
+  d.flush();
   // Window 0 is within warmup_windows=3 -> silent even though huge.
   for (const auto& a : alerts) EXPECT_NE(a.time.ns, 0);
 }
@@ -67,17 +72,18 @@ TEST(ConnCountDetector, WarmupSuppressesEarlyAlerts) {
 TEST(ConnCountDetector, SmallSpikesBelowMinCountIgnored) {
   auto cfg = config();
   cfg.min_count = 50;
-  ConnCountDetector d(cfg);
+  std::vector<Alert> alerts;
+  ConnCountDetector d(cfg, into(alerts));
   for (int w = 0; w < 10; ++w) feed_window(d, w, 2);
   feed_window(d, 10, 30);  // big z-score but below min_count
   feed_window(d, 11, 2);
-  std::vector<Alert> alerts;
-  d.flush(alerts);
+  d.flush();
   EXPECT_TRUE(alerts.empty());
 }
 
 TEST(ConnCountDetector, PairsAreIndependent) {
-  ConnCountDetector d(config());
+  std::vector<Alert> alerts;
+  ConnCountDetector d(config(), into(alerts));
   for (int w = 0; w < 10; ++w) {
     feed_window(d, w, 10, "Auckland");
     feed_window(d, w, 10, "Wellington");
@@ -85,8 +91,7 @@ TEST(ConnCountDetector, PairsAreIndependent) {
   feed_window(d, 10, 10, "Auckland");
   feed_window(d, 10, 400, "Wellington");
   feed_window(d, 11, 1, "Auckland");
-  std::vector<Alert> alerts;
-  d.flush(alerts);
+  d.flush();
   ASSERT_GE(alerts.size(), 1u);
   for (const auto& a : alerts) {
     EXPECT_EQ(a.subject, "Wellington|Los Angeles");
@@ -94,13 +99,13 @@ TEST(ConnCountDetector, PairsAreIndependent) {
 }
 
 TEST(ConnCountDetector, SurgeNotAbsorbedIntoBaseline) {
-  ConnCountDetector d(config());
+  std::vector<Alert> alerts;
+  ConnCountDetector d(config(), into(alerts));
   for (int w = 0; w < 10; ++w) feed_window(d, w, 10);
   feed_window(d, 10, 300);
   feed_window(d, 11, 300);  // sustained surge keeps alerting
   feed_window(d, 12, 1);
-  std::vector<Alert> alerts;
-  d.flush(alerts);
+  d.flush();
   EXPECT_GE(alerts.size(), 2u);
 }
 

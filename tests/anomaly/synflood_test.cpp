@@ -15,14 +15,19 @@ SynFloodConfig config() {
   return cfg;
 }
 
+/// A sink that collects every alert the detector raises into `out`.
+AlertSink into(std::vector<Alert>& out) {
+  return [&out](Alert a) { out.push_back(std::move(a)); };
+}
+
 TEST(SynFloodDetector, DetectsBareSynBurst) {
-  SynFloodDetector d(config());
+  std::vector<Alert> alerts;
+  SynFloodDetector d(config(), into(alerts));
   const Ipv4Address target(10, 1, 0, 80);
   for (int i = 0; i < 500; ++i) {
     d.on_syn(Timestamp::from_ms(i * 2), target);  // 500 SYNs in 1 s
   }
-  std::vector<Alert> alerts;
-  d.flush(alerts);
+  d.flush();
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].kind, "syn-flood");
   EXPECT_EQ(alerts[0].subject, "10.1.0.80");
@@ -30,40 +35,41 @@ TEST(SynFloodDetector, DetectsBareSynBurst) {
 }
 
 TEST(SynFloodDetector, HealthyTrafficDoesNotAlert) {
-  SynFloodDetector d(config());
+  std::vector<Alert> alerts;
+  SynFloodDetector d(config(), into(alerts));
   const Ipv4Address target(10, 2, 0, 1);
   for (int i = 0; i < 500; ++i) {
     d.on_syn(Timestamp::from_ms(i * 2), target);
     d.on_completion(Timestamp::from_ms(i * 2 + 1), target);  // every SYN completes
   }
-  std::vector<Alert> alerts;
-  d.flush(alerts);
+  d.flush();
   EXPECT_TRUE(alerts.empty());
 }
 
 TEST(SynFloodDetector, LowVolumeIgnored) {
-  SynFloodDetector d(config());
+  std::vector<Alert> alerts;
+  SynFloodDetector d(config(), into(alerts));
   const Ipv4Address target(10, 2, 0, 2);
   for (int i = 0; i < 50; ++i) d.on_syn(Timestamp::from_ms(i), target);  // < min_syns
-  std::vector<Alert> alerts;
-  d.flush(alerts);
+  d.flush();
   EXPECT_TRUE(alerts.empty());
 }
 
 TEST(SynFloodDetector, WindowsCloseAsTimeAdvances) {
-  SynFloodDetector d(config());
+  std::vector<Alert> alerts;
+  SynFloodDetector d(config(), into(alerts));
   const Ipv4Address target(10, 1, 0, 80);
   // Flood in window [0,1); normal in [1,2).
   for (int i = 0; i < 300; ++i) d.on_syn(Timestamp::from_ms(i * 3), target);
   // Crossing into the next window closes the first one.
   d.on_syn(Timestamp::from_ms(1500), target);
-  const auto alerts = d.take_alerts();
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].time.ns, 0);
 }
 
 TEST(SynFloodDetector, PerTargetIsolation) {
-  SynFloodDetector d(config());
+  std::vector<Alert> alerts;
+  SynFloodDetector d(config(), into(alerts));
   const Ipv4Address victim(10, 1, 0, 80);
   const Ipv4Address healthy(10, 1, 0, 81);
   for (int i = 0; i < 300; ++i) {
@@ -71,31 +77,32 @@ TEST(SynFloodDetector, PerTargetIsolation) {
     d.on_syn(Timestamp::from_ms(i * 3), healthy);
     d.on_completion(Timestamp::from_ms(i * 3 + 1), healthy);
   }
-  std::vector<Alert> alerts;
-  d.flush(alerts);
+  d.flush();
   ASSERT_EQ(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].subject, victim.to_string());
 }
 
 TEST(SynFloodDetector, GapSpanningMultipleWindows) {
-  SynFloodDetector d(config());
+  std::vector<Alert> alerts;
+  SynFloodDetector d(config(), into(alerts));
   const Ipv4Address target(10, 1, 0, 80);
   for (int i = 0; i < 300; ++i) d.on_syn(Timestamp::from_ms(i * 3), target);
   // A long quiet gap: the flood window still closes exactly once.
   d.on_syn(Timestamp::from_sec(100), target);
-  EXPECT_EQ(d.take_alerts().size(), 1u);
-  EXPECT_TRUE(d.take_alerts().empty());
+  EXPECT_EQ(alerts.size(), 1u);
+  d.flush();  // the lone SYN's window stays below min_syns
+  EXPECT_EQ(alerts.size(), 1u);
 }
 
 TEST(SynFloodDetector, FlushIsIdempotent) {
-  SynFloodDetector d(config());
+  std::vector<Alert> alerts;
+  SynFloodDetector d(config(), into(alerts));
   const Ipv4Address target(10, 1, 0, 80);
   for (int i = 0; i < 300; ++i) d.on_syn(Timestamp::from_ms(i * 3), target);
-  std::vector<Alert> a1, a2;
-  d.flush(a1);
-  d.flush(a2);
-  EXPECT_EQ(a1.size(), 1u);
-  EXPECT_TRUE(a2.empty());
+  d.flush();
+  EXPECT_EQ(alerts.size(), 1u);
+  d.flush();
+  EXPECT_EQ(alerts.size(), 1u);
 }
 
 /// One detector input: a SYN or a handshake completion.
@@ -130,7 +137,8 @@ std::vector<std::vector<Event>> detector_inputs() {
 
 /// Feeds `events` one call per event.
 std::vector<Alert> per_event(const SynFloodConfig& cfg, const std::vector<Event>& events) {
-  SynFloodDetector d(cfg);
+  std::vector<Alert> alerts;
+  SynFloodDetector d(cfg, into(alerts));
   for (const Event& e : events) {
     if (e.syn) {
       d.on_syn(e.time, e.server);
@@ -138,8 +146,7 @@ std::vector<Alert> per_event(const SynFloodConfig& cfg, const std::vector<Event>
       d.on_completion(e.time, e.server);
     }
   }
-  std::vector<Alert> alerts;
-  d.flush(alerts);
+  d.flush();
   return alerts;
 }
 
@@ -148,7 +155,8 @@ std::vector<Alert> per_event(const SynFloodConfig& cfg, const std::vector<Event>
 /// on_completions(), with an in-flow sample in every batch that must not
 /// count.
 std::vector<Alert> batched(const SynFloodConfig& cfg, const std::vector<Event>& events) {
-  SynFloodDetector d(cfg);
+  std::vector<Alert> alerts;
+  SynFloodDetector d(cfg, into(alerts));
   std::size_t i = 0;
   while (i < events.size()) {
     if (events[i].syn) {
@@ -170,8 +178,7 @@ std::vector<Alert> batched(const SynFloodConfig& cfg, const std::vector<Event>& 
       d.on_completions(samples);
     }
   }
-  std::vector<Alert> alerts;
-  d.flush(alerts);
+  d.flush();
   return alerts;
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "analytics/filter.hpp"
 #include "anomaly/alert_codec.hpp"
@@ -240,6 +243,111 @@ TEST_F(PipelineTest, AlertsArePublishedOnTheBus) {
     }
   }
   EXPECT_GE(received, 1);
+}
+
+/// Alerts of `kind` read off `sub` so far, polling for up to 10 s until
+/// at least `want` have arrived.
+std::vector<Alert> await_alerts(Subscription& sub, const std::string& kind, std::size_t want) {
+  std::vector<Alert> got;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (got.size() < want && std::chrono::steady_clock::now() < deadline) {
+    if (const auto m = sub.try_recv()) {
+      const auto alert = decode_alert(m->frames[1]);
+      if (alert && alert->kind == kind) got.push_back(*alert);
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  return got;
+}
+
+std::size_t count_kind(const AlertLog& log, const std::string& kind) {
+  const std::vector<Alert> all = log.snapshot();
+  return static_cast<std::size_t>(
+      std::count_if(all.begin(), all.end(), [&kind](const Alert& a) { return a.kind == kind; }));
+}
+
+TEST_F(PipelineTest, SynFloodAlertIsRaisedBeforeFinish) {
+  // The flood fills [1 s, 2 s); benign SYNs after 2 s close that window
+  // on a worker thread, which raises the alert there and then.
+  auto cfg = small_config();
+  cfg.synflood.min_syns = 100;
+  RuruPipeline pipeline(cfg, world_.geo, world_.as);
+  auto alert_sub = pipeline.subscribe("ruru.alerts");
+  pipeline.start();
+  auto model = scenarios::syn_flood(12, 20.0, 1500.0, Duration::from_sec(3.0),
+                                    Timestamp::from_sec(1.0), Duration::from_sec(1.0));
+  replay_scenario(pipeline, model);
+
+  const std::vector<Alert> live = await_alerts(*alert_sub, "syn-flood", 1);
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].subject, "10.1.0.80");
+  EXPECT_EQ(live[0].time.ns, Timestamp::from_sec(1.0).ns);
+  EXPECT_GE(count_kind(pipeline.alerts(), "syn-flood"), 1u);
+  pipeline.finish();
+}
+
+TEST_F(PipelineTest, ConnCountAlertsArePublishedOnTheBus) {
+  // A quiet Auckland -> Los Angeles baseline of 2 connections per 1 s
+  // window, a 60-connection surge in window 6, then one handshake in
+  // window 7: its sample closes the surge window on an enricher thread.
+  auto cfg = small_config();
+  cfg.conncount.window = Duration::from_sec(1.0);
+  cfg.conncount.warmup_windows = 3;
+  cfg.conncount.min_count = 20;
+  RuruPipeline pipeline(cfg, world_.geo, world_.as);
+  auto alert_sub = pipeline.subscribe("ruru.alerts");
+  pipeline.start();
+
+  std::uint16_t port = 40'000;
+  std::uint64_t handshakes = 0;
+  const auto handshake = [&](Timestamp t) {
+    TcpFrameSpec spec;
+    spec.src_ip = Ipv4Address(10, 1, 0, 5);  // Auckland block
+    spec.dst_ip = Ipv4Address(10, 2, 0, 9);  // Los Angeles block
+    spec.src_port = port++;
+    spec.dst_port = 443;
+    spec.seq = 100;
+    spec.flags = TcpFlags::kSyn;
+    ASSERT_TRUE(pipeline.inject(build_tcp_frame(spec), t));
+    TcpFrameSpec synack = spec;
+    std::swap(synack.src_ip, synack.dst_ip);
+    std::swap(synack.src_port, synack.dst_port);
+    synack.seq = 900;
+    synack.ack = 101;
+    synack.flags = TcpFlags::kSyn | TcpFlags::kAck;
+    ASSERT_TRUE(pipeline.inject(build_tcp_frame(synack), t + Duration::from_ms(128)));
+    spec.seq = 101;
+    spec.ack = 901;
+    spec.flags = TcpFlags::kAck;
+    ASSERT_TRUE(pipeline.inject(build_tcp_frame(spec), t + Duration::from_ms(133)));
+    ++handshakes;
+  };
+  // Each window's samples are enriched before the next window starts, so
+  // the enrichers see the windows in order whatever lane a flow lands on.
+  const auto enriched_all = [&] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (pipeline.enrichment().processed() < handshakes &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return pipeline.enrichment().processed() == handshakes;
+  };
+  for (int w = 0; w < 8; ++w) {
+    const int n = w == 6 ? 60 : w == 7 ? 1 : 2;
+    for (int i = 0; i < n; ++i) {
+      handshake(Timestamp::from_sec(w) + Duration::from_ms(5 * i));
+    }
+    ASSERT_TRUE(enriched_all()) << "window " << w;
+  }
+
+  const std::vector<Alert> live = await_alerts(*alert_sub, "conn-count", 1);
+  ASSERT_EQ(live.size(), 1u);
+  EXPECT_EQ(live[0].subject, "Auckland|Los Angeles");
+  EXPECT_EQ(live[0].time.ns, Timestamp::from_sec(6.0).ns);
+  EXPECT_EQ(count_kind(pipeline.alerts(), "conn-count"), 1u);
+  pipeline.finish();
+  EXPECT_EQ(pipeline.summary().bus_published, handshakes);  // latency samples only
 }
 
 TEST_F(PipelineTest, StoragePolicyDownsamplesAndAgesOutRaw) {

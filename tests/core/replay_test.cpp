@@ -110,5 +110,22 @@ TEST(Replay, ScenarioStatsAccounting) {
   EXPECT_GT(stats.gbits_per_sec(), 0.0);
 }
 
+TEST(Replay, RetriedFramesAreMeteredOnce) {
+  // A 4-deep RX ring refuses most of each 32-frame burst, so replay
+  // retries; the link meter must still count every frame exactly once.
+  const World world = tiny_world();
+  PipelineConfig cfg = tiny_config();
+  cfg.queue_depth = 4;
+  RuruPipeline pipeline(cfg, world.geo, world.as);
+  pipeline.start();
+  auto model = scenarios::transpacific(9, 200.0, Duration::from_sec(1.0));
+  const auto stats = replay_scenario(pipeline, model);
+  pipeline.finish();
+  ASSERT_GT(pipeline.nic().stats_totals().dropped_queue_full.load(), 0u);  // retries happened
+  EXPECT_EQ(stats.inject_drops, 0u);
+  EXPECT_EQ(pipeline.link_meter().total_packets(), stats.frames);
+  EXPECT_EQ(pipeline.summary().nic.rx_packets, stats.frames);
+}
+
 }  // namespace
 }  // namespace ruru

@@ -357,8 +357,8 @@ TEST(InflowWorker, HandshakeSamplesBitIdenticalWithKernelOnOrOff) {
     // Compare the encoded wire records — byte identity, not just field
     // equality (the family byte carries the new kind bits; a handshake
     // record must not change).
-    const Message a = encode_latency_sample(off[i]);
-    const Message b = encode_latency_sample(on_handshakes[i]);
+    const Message a = encode_latency_batch({&off[i], 1});
+    const Message b = encode_latency_batch({&on_handshakes[i], 1});
     ASSERT_EQ(a.frames[1].size(), b.frames[1].size());
     ASSERT_EQ(std::memcmp(a.frames[1].data(), b.frames[1].data(), a.frames[1].size()), 0)
         << "handshake record " << i << " differs";

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "util/random.hpp"
 
 namespace ruru {
@@ -21,13 +23,26 @@ LatencySample sample_v4() {
   return s;
 }
 
+/// One sample travels as a batch of one.
+Message encode_one(const LatencySample& s) { return encode_latency_batch({&s, 1}); }
+
+/// The one sample a payload carries; nullopt when it is refused.
+std::optional<LatencySample> decode_one(const Frame& payload) {
+  std::vector<LatencySample> out;
+  if (!decode_latency_payload(payload, out) || out.size() != 1) return std::nullopt;
+  return out[0];
+}
+
+/// Byte offset of the first record's family byte: version(1) + count(2).
+constexpr std::size_t kFamily = 3;
+
 TEST(Codec, RoundTripV4) {
   const LatencySample s = sample_v4();
-  const Message m = encode_latency_sample(s);
+  const Message m = encode_one(s);
   EXPECT_EQ(m.topic(), kLatencyTopic);
   ASSERT_EQ(m.frames.size(), 2u);
 
-  const auto d = decode_latency_sample(m.frames[1]);
+  const auto d = decode_one(m.frames[1]);
   ASSERT_TRUE(d.has_value());
   EXPECT_TRUE(d->client == s.client);
   EXPECT_TRUE(d->server == s.server);
@@ -47,8 +62,8 @@ TEST(Codec, RoundTripV6) {
   LatencySample s = sample_v4();
   s.client = Ipv6Address::parse("2001:db8::1").value();
   s.server = Ipv6Address::parse("2001:db8:ffff::2").value();
-  const Message m = encode_latency_sample(s);
-  const auto d = decode_latency_sample(m.frames[1]);
+  const Message m = encode_one(s);
+  const auto d = decode_one(m.frames[1]);
   ASSERT_TRUE(d.has_value());
   EXPECT_FALSE(d->client.is_v4());
   EXPECT_EQ(d->client.to_string(), "2001:db8::1");
@@ -56,20 +71,34 @@ TEST(Codec, RoundTripV6) {
 }
 
 TEST(Codec, RejectsWrongSize) {
-  EXPECT_FALSE(decode_latency_sample(Frame::from_string("short")).has_value());
-  EXPECT_FALSE(decode_latency_sample(Frame()).has_value());
+  EXPECT_FALSE(decode_one(Frame::from_string("short")).has_value());
+  EXPECT_FALSE(decode_one(Frame::from_string("junk")).has_value());
+  EXPECT_FALSE(decode_one(Frame()).has_value());
   std::vector<std::uint8_t> too_long(200, 0);
-  EXPECT_FALSE(decode_latency_sample(Frame::adopt(std::move(too_long))).has_value());
+  too_long[0] = 2;
+  too_long[2] = 1;  // one record claimed, 197 bytes carried
+  EXPECT_FALSE(decode_one(Frame::adopt(std::move(too_long))).has_value());
 }
 
 TEST(Codec, RejectsWrongVersionOrFamily) {
-  const Message m = encode_latency_sample(sample_v4());
+  const Message m = encode_one(sample_v4());
   std::vector<std::uint8_t> bytes(m.frames[1].data(), m.frames[1].data() + m.frames[1].size());
   bytes[0] = 99;  // bad version
-  EXPECT_FALSE(decode_latency_sample(Frame::adopt(std::vector<std::uint8_t>(bytes))).has_value());
-  bytes[0] = 1;
-  bytes[1] = 5;  // bad family
-  EXPECT_FALSE(decode_latency_sample(Frame::adopt(std::move(bytes))).has_value());
+  EXPECT_FALSE(decode_one(Frame::adopt(std::vector<std::uint8_t>(bytes))).has_value());
+  bytes[0] = 2;
+  bytes[kFamily] = 5;  // bad family
+  EXPECT_FALSE(decode_one(Frame::adopt(std::move(bytes))).has_value());
+}
+
+TEST(Codec, RefusesVersionOnePayload) {
+  // The retired single-sample layout, [version=1][record], is refused
+  // like any foreign payload, and `out` is left as it was.
+  const Message m = encode_one(sample_v4());
+  std::vector<std::uint8_t> v1{1};
+  v1.insert(v1.end(), m.frames[1].data() + kFamily, m.frames[1].data() + m.frames[1].size());
+  std::vector<LatencySample> out(1, sample_v4());
+  EXPECT_FALSE(decode_latency_payload(Frame::adopt(std::move(v1)), out));
+  EXPECT_EQ(out.size(), 1u);
 }
 
 TEST(Codec, RoundTripInflowKindBits) {
@@ -78,10 +107,10 @@ TEST(Codec, RoundTripInflowKindBits) {
   LatencySample s = sample_v4();
   s.kind = SampleKind::kInflow;
   s.toward_client = true;
-  const Message m = encode_latency_sample(s);
+  const Message m = encode_one(s);
   // family byte = 4 | kind<<4 | toward_client<<6
-  EXPECT_EQ(m.frames[1].data()[1], 4 | (1 << 4) | (1 << 6));
-  auto d = decode_latency_sample(m.frames[1]);
+  EXPECT_EQ(m.frames[1].data()[kFamily], 4 | (1 << 4) | (1 << 6));
+  auto d = decode_one(m.frames[1]);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->kind, SampleKind::kInflow);
   EXPECT_TRUE(d->toward_client);
@@ -89,24 +118,24 @@ TEST(Codec, RoundTripInflowKindBits) {
 
   s.kind = SampleKind::kOneSided;
   s.toward_client = false;
-  d = decode_latency_sample(encode_latency_sample(s).frames[1]);
+  d = decode_one(encode_one(s).frames[1]);
   ASSERT_TRUE(d.has_value());
   EXPECT_EQ(d->kind, SampleKind::kOneSided);
   EXPECT_FALSE(d->toward_client);
 
   // A handshake sample's family byte is the bare family: the wire format
   // with the feature off is byte-identical to the pre-kind format.
-  const Message h = encode_latency_sample(sample_v4());
-  EXPECT_EQ(h.frames[1].data()[1], 4);
+  const Message h = encode_one(sample_v4());
+  EXPECT_EQ(h.frames[1].data()[kFamily], 4);
 }
 
 TEST(Codec, RejectsBadKindBits) {
-  const Message m = encode_latency_sample(sample_v4());
+  const Message m = encode_one(sample_v4());
   std::vector<std::uint8_t> bytes(m.frames[1].data(), m.frames[1].data() + m.frames[1].size());
-  bytes[1] = 4 | (3 << 4);  // kind 3 is unassigned
-  EXPECT_FALSE(decode_latency_sample(Frame::adopt(std::vector<std::uint8_t>(bytes))).has_value());
-  bytes[1] = 4 | 0x80;  // reserved high bit
-  EXPECT_FALSE(decode_latency_sample(Frame::adopt(std::move(bytes))).has_value());
+  bytes[kFamily] = 4 | (3 << 4);  // kind 3 is unassigned
+  EXPECT_FALSE(decode_one(Frame::adopt(std::vector<std::uint8_t>(bytes))).has_value());
+  bytes[kFamily] = 4 | 0x80;  // reserved high bit
+  EXPECT_FALSE(decode_one(Frame::adopt(std::move(bytes))).has_value());
 }
 
 TEST(CodecBatch, RoundTripMixedKinds) {
@@ -120,7 +149,7 @@ TEST(CodecBatch, RoundTripMixedKinds) {
   }
   const Message m = encode_latency_batch(in);
   std::vector<LatencySample> out;
-  ASSERT_TRUE(decode_latency_batch(m.frames[1], out));
+  ASSERT_TRUE(decode_latency_payload(m.frames[1], out));
   ASSERT_EQ(out.size(), in.size());
   for (std::size_t i = 0; i < in.size(); ++i) {
     EXPECT_EQ(out[i].kind, in[i].kind) << i;
@@ -134,7 +163,7 @@ TEST(CodecBatch, RejectsBadKindBitsInRecord) {
   std::vector<std::uint8_t> bytes(m.frames[1].data(), m.frames[1].data() + m.frames[1].size());
   bytes[3 + 67] = 4 | (3 << 4);  // second record: unassigned kind
   std::vector<LatencySample> out;
-  EXPECT_FALSE(decode_latency_batch(Frame::adopt(std::move(bytes)), out));
+  EXPECT_FALSE(decode_latency_payload(Frame::adopt(std::move(bytes)), out));
   EXPECT_TRUE(out.empty());
 }
 
@@ -143,7 +172,7 @@ TEST(CodecBatch, RoundTripEmpty) {
   EXPECT_EQ(m.topic(), kLatencyTopic);
   ASSERT_EQ(m.frames.size(), 2u);
   std::vector<LatencySample> out;
-  EXPECT_TRUE(decode_latency_batch(m.frames[1], out));
+  EXPECT_TRUE(decode_latency_payload(m.frames[1], out));
   EXPECT_TRUE(out.empty());
 }
 
@@ -151,7 +180,7 @@ TEST(CodecBatch, RoundTripSingle) {
   const LatencySample s = sample_v4();
   const Message m = encode_latency_batch({&s, 1});
   std::vector<LatencySample> out;
-  ASSERT_TRUE(decode_latency_batch(m.frames[1], out));
+  ASSERT_TRUE(decode_latency_payload(m.frames[1], out));
   ASSERT_EQ(out.size(), 1u);
   EXPECT_TRUE(out[0].client == s.client);
   EXPECT_EQ(out[0].ack_time.ns, s.ack_time.ns);
@@ -172,7 +201,7 @@ TEST(CodecBatch, RoundTripManyMixedFamilies) {
   }
   const Message m = encode_latency_batch(in);
   std::vector<LatencySample> out;
-  ASSERT_TRUE(decode_latency_batch(m.frames[1], out));
+  ASSERT_TRUE(decode_latency_payload(m.frames[1], out));
   ASSERT_EQ(out.size(), in.size());
   for (std::size_t i = 0; i < in.size(); ++i) {
     EXPECT_TRUE(out[i].client == in[i].client) << i;
@@ -186,7 +215,7 @@ TEST(CodecBatch, TopicFrameIsInterned) {
   const LatencySample s = sample_v4();
   const Message a = encode_latency_batch({&s, 1});
   const Message b = encode_latency_batch({&s, 1});
-  const Message c = encode_latency_sample(s);
+  const Message c = encode_latency_batch({});
   // All latency messages share one topic buffer: no per-publish topic
   // allocation.
   EXPECT_EQ(a.frames[0].data(), b.frames[0].data());
@@ -200,10 +229,10 @@ TEST(CodecBatch, RejectsTruncatedPayload) {
   bytes.resize(bytes.size() - 10);  // truncate mid-record
   std::vector<LatencySample> out;
   out.push_back(sample_v4());  // pre-existing content must survive rejection
-  EXPECT_FALSE(decode_latency_batch(Frame::adopt(std::move(bytes)), out));
+  EXPECT_FALSE(decode_latency_payload(Frame::adopt(std::move(bytes)), out));
   EXPECT_EQ(out.size(), 1u);
-  EXPECT_FALSE(decode_latency_batch(Frame(), out));
-  EXPECT_FALSE(decode_latency_batch(Frame::from_string("xx"), out));
+  EXPECT_FALSE(decode_latency_payload(Frame(), out));
+  EXPECT_FALSE(decode_latency_payload(Frame::from_string("xx"), out));
 }
 
 TEST(CodecBatch, RejectsCorruptVersionByte) {
@@ -212,7 +241,7 @@ TEST(CodecBatch, RejectsCorruptVersionByte) {
   std::vector<std::uint8_t> bytes(m.frames[1].data(), m.frames[1].data() + m.frames[1].size());
   bytes[0] = 99;
   std::vector<LatencySample> out;
-  EXPECT_FALSE(decode_latency_batch(Frame::adopt(std::move(bytes)), out));
+  EXPECT_FALSE(decode_latency_payload(Frame::adopt(std::move(bytes)), out));
   EXPECT_TRUE(out.empty());
 }
 
@@ -222,7 +251,7 @@ TEST(CodecBatch, RejectsCorruptRecordFamily) {
   std::vector<std::uint8_t> bytes(m.frames[1].data(), m.frames[1].data() + m.frames[1].size());
   bytes[3 + 67 * 2] = 9;  // third record's family byte
   std::vector<LatencySample> out;
-  EXPECT_FALSE(decode_latency_batch(Frame::adopt(std::move(bytes)), out));
+  EXPECT_FALSE(decode_latency_payload(Frame::adopt(std::move(bytes)), out));
   EXPECT_TRUE(out.empty());  // whole-batch rejection, no partial decode
 }
 
@@ -235,7 +264,7 @@ TEST(CodecBatch, RejectsOversizeRecordCount) {
   bytes[1] = static_cast<std::uint8_t>(count >> 8);
   bytes[2] = static_cast<std::uint8_t>(count & 0xFF);
   std::vector<LatencySample> out;
-  EXPECT_FALSE(decode_latency_batch(Frame::adopt(std::move(bytes)), out));
+  EXPECT_FALSE(decode_latency_payload(Frame::adopt(std::move(bytes)), out));
   EXPECT_TRUE(out.empty());
 }
 
@@ -245,18 +274,7 @@ TEST(CodecBatch, RejectsCountLengthMismatch) {
   std::vector<std::uint8_t> bytes(m.frames[1].data(), m.frames[1].data() + m.frames[1].size());
   bytes[2] = 2;  // claims two records, carries one
   std::vector<LatencySample> out;
-  EXPECT_FALSE(decode_latency_batch(Frame::adopt(std::move(bytes)), out));
-}
-
-TEST(CodecBatch, PayloadDispatchAcceptsBothVersions) {
-  const LatencySample s = sample_v4();
-  std::vector<LatencySample> out;
-  ASSERT_TRUE(decode_latency_payload(encode_latency_sample(s).frames[1], out));
-  ASSERT_TRUE(decode_latency_payload(encode_latency_batch({&s, 1}).frames[1], out));
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_TRUE(out[0].client == out[1].client);
-  EXPECT_FALSE(decode_latency_payload(Frame(), out));
-  EXPECT_FALSE(decode_latency_payload(Frame::from_string("junk"), out));
+  EXPECT_FALSE(decode_latency_payload(Frame::adopt(std::move(bytes)), out));
 }
 
 TEST(Codec, FuzzRoundTrip) {
@@ -272,7 +290,7 @@ TEST(Codec, FuzzRoundTrip) {
     s.ack_time = Timestamp::from_ns(static_cast<std::int64_t>(rng.next_u64() >> 1));
     s.rss_hash = rng.next_u32();
     s.queue_id = static_cast<std::uint16_t>(rng.next_u32());
-    const auto d = decode_latency_sample(encode_latency_sample(s).frames[1]);
+    const auto d = decode_one(encode_one(s).frames[1]);
     ASSERT_TRUE(d.has_value());
     EXPECT_TRUE(d->client == s.client);
     EXPECT_EQ(d->ack_time.ns, s.ack_time.ns);

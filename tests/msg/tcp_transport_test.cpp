@@ -70,13 +70,14 @@ TEST(TcpTransport, MultiFrameAndBinaryPayloads) {
   s.syn_time = Timestamp::from_ms(1);
   s.synack_time = Timestamp::from_ms(129);
   s.ack_time = Timestamp::from_ms(134);
-  server.publish(encode_latency_sample(s));
+  server.publish(encode_latency_batch({&s, 1}));
 
   const auto m = client.value().recv();
   ASSERT_TRUE(m.has_value());
-  const auto decoded = decode_latency_sample(m->frames[1]);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->external().ns, Duration::from_ms(128).ns);
+  std::vector<LatencySample> decoded;
+  ASSERT_TRUE(decode_latency_payload(m->frames[1], decoded));
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0].external().ns, Duration::from_ms(128).ns);
 }
 
 TEST(TcpTransport, DisconnectedClientIsPruned) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -15,8 +19,8 @@ namespace {
 /// the histogram holds a single sample so every quantile is exact.
 MetricsSnapshot golden_snapshot() {
   MetricsRegistry reg;
-  reg.counter("nic.rx_packets").add(1234);
-  reg.gauge("bus.pending").set(17.5);
+  reg.register_counter_fn("nic.rx_packets", [] { return std::uint64_t{1234}; });
+  reg.register_gauge_fn("bus.pending", [] { return 17.5; });
   reg.histogram("enrich.batch_ns").record(std::int64_t{1000});
   return reg.snapshot(Timestamp::from_sec(42.0));
 }
@@ -39,7 +43,7 @@ TEST(PrometheusRenderTest, GoldenExposition) {
 
 TEST(PrometheusRenderTest, SanitizesMetricNames) {
   MetricsRegistry reg;
-  reg.counter("nic.queue-0/drops").add(1);
+  reg.register_counter_fn("nic.queue-0/drops", [] { return std::uint64_t{1}; });
   const std::string text = render_prometheus(reg.snapshot(Timestamp{}));
   EXPECT_NE(text.find("ruru_nic_queue_0_drops 1\n"), std::string::npos);
 }
@@ -70,12 +74,52 @@ TEST(PrometheusExporterTest, StreamVariantAppendsExpositionPerSnapshot) {
             std::string::npos);
 }
 
+TEST(PrometheusExporterTest, FileVariantHoldsExactlyTheLastExposition) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / ("ruru_prom_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "ruru.prom").string();
+  MetricsRegistry reg;
+  std::uint64_t pkts = 1000;
+  reg.register_counter_fn("pkts", [&pkts] { return pkts; });
+  PrometheusExporter exporter(path);
+
+  const auto read_all = [](std::ifstream& in) {
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+
+  const MetricsSnapshot s1 = reg.snapshot(Timestamp::from_sec(1.0));
+  exporter.export_snapshot(s1, SnapshotDelta::between(s1, s1));
+  // A collector that opened the file before the next tick still reads
+  // the whole first exposition: the rewrite replaces the file, it does
+  // not truncate it under the reader.
+  std::ifstream early(path);
+  pkts = 7;
+  const MetricsSnapshot s2 = reg.snapshot(Timestamp::from_sec(2.0));
+  exporter.export_snapshot(s2, SnapshotDelta::between(s1, s2));
+
+  EXPECT_EQ(read_all(early), render_prometheus(s1));
+  std::ifstream late(path);
+  EXPECT_EQ(read_all(late), render_prometheus(s2));
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // An unwritable path is logged, never fatal, and leaves no file behind.
+  const std::string missing = (dir / "no_such_dir" / "ruru.prom").string();
+  PrometheusExporter broken(missing);
+  broken.export_snapshot(s2, SnapshotDelta::between(s1, s2));
+  EXPECT_FALSE(std::filesystem::exists(missing));
+  EXPECT_FALSE(std::filesystem::exists(missing + ".tmp"));
+  std::filesystem::remove_all(dir);
+}
+
 TEST(JsonLinesTest, LineCarriesTotalsRatesAndHistogramStats) {
   MetricsRegistry reg;
-  CounterHandle c = reg.counter("pkts");
-  c.add(100);
+  std::uint64_t pkts = 100;
+  reg.register_counter_fn("pkts", [&pkts] { return pkts; });
   const MetricsSnapshot s1 = reg.snapshot(Timestamp::from_sec(1.0));
-  c.add(50);
+  pkts += 50;
   const MetricsSnapshot s2 = reg.snapshot(Timestamp::from_sec(2.0));
   const std::string line = render_json_line(s2, SnapshotDelta::between(s1, s2));
   EXPECT_NE(line.find("\"ts_s\":2"), std::string::npos);
@@ -86,7 +130,7 @@ TEST(JsonLinesTest, LineCarriesTotalsRatesAndHistogramStats) {
 
 TEST(JsonLinesTest, FlushSyncsTheStream) {
   MetricsRegistry reg;
-  reg.counter("pkts").add(1);
+  reg.register_counter_fn("pkts", [] { return std::uint64_t{1}; });
   std::ostringstream out;
   JsonLinesExporter exporter(out);
   const MetricsSnapshot s = reg.snapshot(Timestamp::from_sec(1.0));
@@ -101,20 +145,20 @@ TEST(JsonLinesTest, FlushSyncsTheStream) {
 
 TEST(SelfIngestTest, WritesPrefixedSeriesWithStatTags) {
   MetricsRegistry reg;
-  CounterHandle c = reg.counter("nic.rx_packets");
-  GaugeHandle g = reg.gauge("bus.pending");
+  std::uint64_t rx_packets = 0;
+  reg.register_counter_fn("nic.rx_packets", [&rx_packets] { return rx_packets; });
+  reg.register_gauge_fn("bus.pending", [] { return 5.0; });
   HistogramHandle h = reg.histogram("enrich.batch_ns");
 
   TsdbEngine db;
   SelfIngestExporter exporter(db);
 
-  c.add(100);
-  g.set(5.0);
+  rx_packets += 100;
   h.record(std::int64_t{2000});
   const MetricsSnapshot s1 = reg.snapshot(Timestamp::from_sec(1.0));
   exporter.export_snapshot(s1, SnapshotDelta::between(s1, s1));
 
-  c.add(60);
+  rx_packets += 60;
   const MetricsSnapshot s2 = reg.snapshot(Timestamp::from_sec(3.0));
   exporter.export_snapshot(s2, SnapshotDelta::between(s1, s2));
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -13,50 +15,24 @@ namespace ruru::obs {
 namespace {
 
 TEST(MetricsRegistryTest, DefaultHandlesAreInertNoOps) {
-  CounterHandle c;
-  GaugeHandle g;
   HistogramHandle h;
-  EXPECT_FALSE(c.attached());
-  EXPECT_FALSE(g.attached());
   EXPECT_FALSE(h.attached());
-  c.add(5);                 // must not crash
-  g.set(1.0);
-  h.record(std::int64_t{42});
+  h.record(std::int64_t{42});  // must not crash
   h.record_shared(std::int64_t{42});
-}
-
-TEST(MetricsRegistryTest, CounterShardsMergeOnSnapshot) {
-  MetricsRegistry reg;
-  CounterHandle a = reg.counter("pkts", 0);
-  CounterHandle b = reg.counter("pkts", 1);
-  CounterHandle c = reg.counter("pkts", 2);
-  a.add(10);
-  b.add(100);
-  c.add(1000);
-  b.add();  // default increment of 1
-  const MetricsSnapshot snap = reg.snapshot(Timestamp::from_sec(1.0));
-  ASSERT_NE(snap.counter("pkts"), nullptr);
-  EXPECT_EQ(*snap.counter("pkts"), 1111u);
-  EXPECT_EQ(snap.counter_or("missing", 7), 7u);
 }
 
 TEST(MetricsRegistryTest, SameNameSameShardYieldsSameCell) {
   MetricsRegistry reg;
-  CounterHandle a = reg.counter("x");
-  CounterHandle b = reg.counter("x");
-  a.add(1);
-  b.add(2);
-  EXPECT_EQ(*reg.snapshot(Timestamp{}).counter("x"), 3u);
-}
-
-TEST(MetricsRegistryTest, GaugeLastWriteWins) {
-  MetricsRegistry reg;
-  GaugeHandle g = reg.gauge("depth");
-  g.set(10.0);
-  g.set(4.5);
+  HistogramHandle a = reg.histogram("x");
+  HistogramHandle b = reg.histogram("x");
+  a.record(std::int64_t{1});
+  b.record(std::int64_t{2});
+  EXPECT_EQ(reg.metric_count(), 1u);
   const MetricsSnapshot snap = reg.snapshot(Timestamp{});
-  ASSERT_NE(snap.gauge("depth"), nullptr);
-  EXPECT_DOUBLE_EQ(*snap.gauge("depth"), 4.5);
+  const HistogramStats* stats = snap.histogram("x");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->count, 2u);
+  EXPECT_EQ(stats->sum, 3);
 }
 
 TEST(MetricsRegistryTest, CallbackMetricsArePolledAtSnapshotTime) {
@@ -69,6 +45,8 @@ TEST(MetricsRegistryTest, CallbackMetricsArePolledAtSnapshotTime) {
   const MetricsSnapshot snap = reg.snapshot(Timestamp{});
   EXPECT_EQ(*snap.counter("cb.count"), 9u);
   EXPECT_DOUBLE_EQ(*snap.gauge("cb.gauge"), 18.0);
+  EXPECT_EQ(snap.counter_or("missing", 7), 7u);
+  EXPECT_EQ(snap.gauge("missing"), nullptr);
 }
 
 TEST(MetricsHistogramTest, SingleShardMatchesReferenceHistogram) {
@@ -142,19 +120,27 @@ TEST(MetricsHistogramTest, SharedRecordingKeepsExactCounts) {
 
 // The TSan gate: per-shard writers plus a hammering snapshot reader.
 // Counts must balance exactly once the writers join (single-writer
-// shards lose nothing), and no torn/raced state may be observed.
+// shards lose nothing), and no torn/raced state may be observed.  The
+// counter is a callback over the writers' own cells, the way the
+// pipeline exposes its stage stats.
 TEST(MetricsConcurrencyTest, ConcurrentIncrementAndSnapshotIsRaceFreeAndExact) {
   MetricsRegistry reg;
   constexpr int kWriters = 4;
   constexpr std::uint64_t kPerWriter = 50'000;
+  std::array<std::atomic<std::uint64_t>, kWriters> ops{};
+  reg.register_counter_fn("ops", [&ops] {
+    std::uint64_t total = 0;
+    for (const auto& cell : ops) total += cell.load(std::memory_order_relaxed);
+    return total;
+  });
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    CounterHandle c = reg.counter("ops", static_cast<std::size_t>(w));
+    std::atomic<std::uint64_t>& cell = ops[static_cast<std::size_t>(w)];
     HistogramHandle h = reg.histogram("lat", static_cast<std::size_t>(w));
-    writers.emplace_back([c, h] {
+    writers.emplace_back([&cell, h] {
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
-        c.add();
+        cell.store(cell.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
         h.record(static_cast<std::int64_t>(i % 1000 + 1));
       }
     });

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -25,14 +26,15 @@ class RecordingExporter final : public MetricsExporter {
 
 TEST(SnapshotDeltaTest, DeltaAndRateMathAcrossTwoIntervals) {
   MetricsRegistry reg;
-  CounterHandle c = reg.counter("pkts");
+  std::atomic<std::uint64_t> pkts{0};
+  reg.register_counter_fn("pkts", [&pkts] { return pkts.load(); });
   HistogramHandle h = reg.histogram("lat");
 
-  c.add(100);
+  pkts += 100;
   h.record(std::int64_t{10});
   const MetricsSnapshot s1 = reg.snapshot(Timestamp::from_sec(1.0));
 
-  c.add(150);
+  pkts += 150;
   h.record(std::int64_t{20});
   h.record(std::int64_t{30});
   const MetricsSnapshot s2 = reg.snapshot(Timestamp::from_sec(3.0));
@@ -68,16 +70,17 @@ TEST(SnapshotDeltaTest, CounterResetNeverUnderflows) {
 
 TEST(SnapshotTimerTest, ManualTicksDriveExportersWithSimClock) {
   MetricsRegistry reg;
-  CounterHandle c = reg.counter("pkts");
+  std::atomic<std::uint64_t> pkts{0};
+  reg.register_counter_fn("pkts", [&pkts] { return pkts.load(); });
   SimClock clock(Timestamp::from_sec(10.0));
   SnapshotTimer timer(reg, Duration::from_sec(1.0), &clock);
   auto exporter = std::make_shared<RecordingExporter>();
   timer.add_exporter(exporter);
 
-  c.add(40);
+  pkts += 40;
   timer.tick();
   clock.advance(Duration::from_sec(2.0));
-  c.add(80);
+  pkts += 80;
   timer.tick();
 
   EXPECT_EQ(timer.ticks(), 2u);
@@ -94,13 +97,14 @@ TEST(SnapshotTimerTest, ManualTicksDriveExportersWithSimClock) {
 
 TEST(SnapshotTimerTest, ThreadTicksPeriodicallyAndStopTakesFinalSnapshot) {
   MetricsRegistry reg;
-  CounterHandle c = reg.counter("pkts");
+  std::atomic<std::uint64_t> pkts{0};
+  reg.register_counter_fn("pkts", [&pkts] { return pkts.load(); });
   SnapshotTimer timer(reg, Duration::from_ms(10));
   auto exporter = std::make_shared<RecordingExporter>();
   timer.add_exporter(exporter);
 
   timer.start();
-  c.add(7);
+  pkts += 7;
   // Wait for two periodic ticks of the 10 ms timer, not a fixed sleep: a
   // loaded host can hold the timer thread off the CPU for tens of ms.
   // The deadline only bounds a timer that never ticks, which fails below.
@@ -121,8 +125,9 @@ TEST(SnapshotTimerTest, ThreadTicksPeriodicallyAndStopTakesFinalSnapshot) {
 
 TEST(SnapshotTimerTest, StopWithoutStartStillDrainsOnce) {
   MetricsRegistry reg;
-  CounterHandle c = reg.counter("pkts");
-  c.add(5);
+  std::atomic<std::uint64_t> pkts{0};
+  reg.register_counter_fn("pkts", [&pkts] { return pkts.load(); });
+  pkts += 5;
   SnapshotTimer timer(reg, Duration::from_sec(100.0));
   auto exporter = std::make_shared<RecordingExporter>();
   timer.add_exporter(exporter);
@@ -137,8 +142,9 @@ TEST(SnapshotTimerTest, StopWithoutStartStillDrainsOnce) {
 
 TEST(SnapshotTimerTest, StartedButImmediatelyStoppedStillExportsOnce) {
   MetricsRegistry reg;
-  CounterHandle c = reg.counter("pkts");
-  c.add(3);
+  std::atomic<std::uint64_t> pkts{0};
+  reg.register_counter_fn("pkts", [&pkts] { return pkts.load(); });
+  pkts += 3;
   SnapshotTimer timer(reg, Duration::from_sec(100.0));  // never fires on its own
   auto exporter = std::make_shared<RecordingExporter>();
   timer.add_exporter(exporter);

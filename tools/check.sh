@@ -12,7 +12,8 @@
 #               SPSC rings, flow-table stats read by the snapshot
 #               thread), the obs + core tests that drive live pipelines
 #               (metrics snapshots, tracing rings, watchdog, sharded
-#               scale-out, in-flow workers), the enrichment pool's N
+#               scale-out, in-flow workers, alerts raised on worker and
+#               enricher threads, replay retries), the enrichment pool's N
 #               consumers on one subscription, and the sharded TSDB
 #               engine's reader/writer decoupling, and the WebSocket
 #               feed's push server (its accept thread admits clients
@@ -58,7 +59,7 @@ if [ "$MODE" = "tsan" ]; then
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" \
     -L '^(test_msg|test_flow|test_util|test_driver)$')
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" -L '^(test_obs|test_core)$' \
-    -R 'Metrics|Snapshot|Prometheus|JsonLines|SelfIngest|Pipeline|FanIn|PubSub|BusQueue|Nic|LcoreLauncher|Scaling|Inflow|Worker|Trace|TscClock|Watchdog')
+    -R 'Metrics|Snapshot|Prometheus|JsonLines|SelfIngest|Pipeline|FanIn|PubSub|BusQueue|Nic|LcoreLauncher|Scaling|Inflow|Worker|Trace|TscClock|Watchdog|Replay')
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" -L '^test_analytics$' -R '^PoolTest\.')
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" -L '^test_tsdb$' -R '^EngineConcurrency\.')
   (cd "$BUILD" && ctest --output-on-failure -j"$JOBS" -L '^test_viz$' -R '^WsServer\.')
